@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.extensions import (
@@ -89,20 +90,22 @@ class SMCCResult:
     vertices: List[int]
     connectivity: int
     query_stats: Optional[QueryStats] = field(default=None, repr=False, compare=False)
-    _vertex_set: frozenset = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_vertex_set", frozenset(self.vertices))
 
     def __len__(self) -> int:
         return len(self.vertices)
 
     def __contains__(self, vertex: int) -> bool:
-        return vertex in self._vertex_set
+        return vertex in self.vertex_set
 
-    @property
+    @cached_property
     def vertex_set(self) -> frozenset:
-        return self._vertex_set
+        """The vertices as a frozenset, built on first use.
+
+        Most results (every served cache miss, every shard reply) are
+        never probed, so the set is not built up front.  Two threads
+        racing the first access at worst each build the same set.
+        """
+        return frozenset(self.vertices)
 
     def induced_subgraph(self, graph: Graph) -> Tuple[Graph, List[int]]:
         """Materialize the component as an induced subgraph of ``graph``."""

@@ -20,6 +20,23 @@ construction.  Two mechanisms guarantee that:
   unknown (or region tracking is disabled) the cache is invalidated
   wholesale, which is always safe.
 
+A touch set is stored as a **leaf interval** of the answering
+generation wherever one exists: every k-ecc is one MST* subtree, hence
+one contiguous slice ``[start, end)`` of that generation's leaf order,
+and the query vertices lie inside it.  The entry keeps
+``(leaf_position, start, end)``, where ``leaf_position`` is the
+answering star's own vertex-to-position array, shared by identity.  An
+entry thus costs O(1) memory whatever the component size, while the
+cache pins one O(|V|) ``leaf_position`` list per distinct answering
+generation among its live entries (every publish builds a fresh one,
+so a carried entry keeps its generation's list alive).
+:meth:`QueryCache.advance` maps the affected set to positions once per
+distinct array and tests each interval entry with one bisection.  A
+carried entry keeps its older generation's interval: its answer did
+not change, so that interval still names the same vertex set.  A plain
+frozenset remains only for answers with connectivity ``<= 0``, which
+have no component: the query itself is the touch set.
+
 Readers insert results *outside* the publisher lock, so an insert and
 a publish can race.  The cache therefore tracks its own current
 generation and enforces a strict discipline:
@@ -45,16 +62,22 @@ than the queries they shortcut.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import OrderedDict
-from typing import Dict, FrozenSet, Hashable, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.freeze import maybe_deep_freeze
 from repro.analysis.tsan import monitored, new_lock
 from repro.core.queries import _positional_shim
 
-__all__ = ["CacheEntry", "QueryCache", "canonical_query"]
+__all__ = ["CacheEntry", "QueryCache", "Touch", "canonical_query"]
 
 CacheKey = Tuple[str, Tuple[int, ...], Hashable]
+
+#: An entry's invalidation region: ``(leaf_position, start, end)`` — the
+#: vertices whose position in the answering generation's leaf order
+#: lies in ``[start, end)`` — or an explicit vertex set.
+Touch = Union[Tuple[Sequence[int], int, int], FrozenSet[int]]
 
 
 def canonical_query(kind: str, q: Tuple[int, ...], extra: Hashable = None) -> CacheKey:
@@ -76,7 +99,9 @@ class CacheEntry:
         self,
         value: object,  # escape: owned
         generation: int,
-        touch: FrozenSet[int],
+        # Shares a published snapshot's leaf_position array, which
+        # nothing writes after capture.
+        touch: Touch,  # escape: owned
     ) -> None:
         # deep-frozen
         self.value = value  # guarded-by: immutable-after-publish
@@ -84,8 +109,11 @@ class CacheEntry:
         #: cache's lock when the entry provably carries over a publish
         self.generation = generation  # guarded-by: external:QueryCache._lock
         #: vertices whose sc changes invalidate this answer (query
-        #: vertices plus the answer component); empty = always dropped
-        #: on publish rather than carried over
+        #: vertices plus the answer component): a leaf interval
+        #: ``(leaf_position, start, end)`` of the answering generation,
+        #: or a frozenset of the query where there is no component
+        #: (connectivity <= 0); an empty frozenset =
+        #: always dropped on publish rather than carried over
         # deep-frozen
         self.touch = touch  # guarded-by: immutable-after-publish
 
@@ -151,7 +179,7 @@ class QueryCache:
         key: CacheKey,
         value: object,  # escape: owned
         generation: int,
-        touch: FrozenSet[int] = frozenset(),
+        touch: Touch = frozenset(),
     ) -> None:
         """Insert an answer computed against ``generation``.
 
@@ -211,12 +239,24 @@ class QueryCache:
                 return dropped
             dead = []
             carried = 0
+            #: id(leaf_position) -> sorted positions of ``affected`` in
+            #: it; the entries hold the arrays, so the ids stay unique
+            hit_positions: Dict[int, List[int]] = {}
             for key, entry in self._entries.items():
-                if (
-                    entry.generation != previous
-                    or not entry.touch
-                    or entry.touch & affected
-                ):
+                touch = entry.touch
+                if entry.generation != previous or not touch:
+                    hit = True
+                elif isinstance(touch, tuple):
+                    leaf_position, start, end = touch
+                    positions = hit_positions.get(id(leaf_position))
+                    if positions is None:
+                        positions = _sorted_positions(leaf_position, affected)
+                        hit_positions[id(leaf_position)] = positions
+                    i = bisect_left(positions, start)
+                    hit = i < len(positions) and positions[i] < end
+                else:
+                    hit = not touch.isdisjoint(affected)
+                if hit:
                     dead.append(key)
                 else:
                     entry.generation = new_generation
@@ -260,3 +300,15 @@ class QueryCache:
             f"capacity={stats['capacity']}, "
             f"hits={stats['hits']}, misses={stats['misses']})"
         )
+
+
+def _sorted_positions(
+    leaf_position: Sequence[int], affected: FrozenSet[int]
+) -> List[int]:
+    """The leaf positions of ``affected``, sorted.
+
+    Vertices past the end of ``leaf_position`` were added after its
+    generation was captured, so they lie in none of its intervals.
+    """
+    n = len(leaf_position)
+    return sorted(leaf_position[v] for v in affected if v < n)

@@ -36,7 +36,7 @@ from repro.errors import DeadlineExceededError, DisconnectedQueryError
 from repro.graph.graph import Graph
 from repro.obs import runtime as _obs
 from repro.obs.timing import monotonic
-from repro.serve.cache import QueryCache, canonical_query
+from repro.serve.cache import QueryCache, Touch, canonical_query
 from repro.serve.planner import execute_batch, plan_batch
 from repro.serve.publisher import SnapshotPublisher
 from repro.serve.reports import PublishReport, UpdateReport
@@ -282,7 +282,7 @@ class ServingIndex:
             deadline.check()
             value = snapshot.steiner_connectivity(q)
             self.cache.put(
-                key, value, snapshot.generation, self._touch_sc(snapshot, q, value)
+                key, value, snapshot.generation, self._touch(snapshot, q, value)
             )
             return value
         finally:
@@ -317,8 +317,12 @@ class ServingIndex:
             self._count("serve.cache.miss")
             deadline.check()
             result = snapshot.smcc(q)
-            touch = frozenset(result.vertices).union(q)
-            self.cache.put(key, result, snapshot.generation, touch)
+            self.cache.put(
+                key,
+                result,
+                snapshot.generation,
+                self._touch(snapshot, q, result.connectivity),
+            )
             return result
         finally:
             self._release()
@@ -353,8 +357,12 @@ class ServingIndex:
             self._count("serve.cache.miss")
             deadline.check()
             result = snapshot.smcc_l(q, size_bound)
-            touch = frozenset(result.vertices).union(q)
-            self.cache.put(key, result, snapshot.generation, touch)
+            self.cache.put(
+                key,
+                result,
+                snapshot.generation,
+                self._touch(snapshot, q, result.connectivity),
+            )
             return result
         finally:
             self._release()
@@ -404,7 +412,7 @@ class ServingIndex:
                             canonical_query("sc", cq),
                             value,
                             snapshot.generation,
-                            self._touch_sc(snapshot, cq, value),
+                            self._touch(snapshot, cq, value),
                         )
             return answers
         finally:
@@ -443,21 +451,23 @@ class ServingIndex:
     # Internals
     # ------------------------------------------------------------------
     @staticmethod
-    def _touch_sc(
-        snapshot: IndexSnapshot, q: Sequence[int], sc: int
-    ) -> FrozenSet[int]:
-        """Invalidation region of an sc answer: the SMCC of the query.
+    def _touch(snapshot: IndexSnapshot, q: Sequence[int], k: int) -> Touch:
+        """Invalidation region of an answer at connectivity ``k``.
 
-        sc(q) is the min edge weight on tree paths inside the sc(q)-ecc
-        containing q; any update that changes it must change the sc of
-        an edge with an endpoint in that component (Lemmas 5.2–5.4), so
-        the component's vertex set is a sound touch set.
+        That is the maximal k-ecc containing q: the SMCC for ``sc`` and
+        ``smcc`` answers, and the SMCC_L itself for ``smcc_l`` (Algorithm
+        5 expands while weights are >= k).  sc(q) is the min edge weight
+        on tree paths inside that component; any update that changes it
+        must change the sc of an edge with an endpoint in it (Lemmas
+        5.2–5.4), so the component — one leaf interval, which holds q —
+        is a sound touch set.  ``k <= 0`` has no component; q itself is
+        the set.
         """
-        if sc <= 0:
+        if k <= 0:
             return frozenset(q)
-        q0 = next(iter(q))
-        start, end = snapshot.star.component_interval(q0, sc)
-        return frozenset(snapshot.star.leaf_order[start:end]).union(q)
+        star = snapshot.star
+        start, end = star.component_interval(next(iter(q)), k)
+        return (star.leaf_position, start, end)
 
     def _admit(self, kind: str, timeout: Optional[float]) -> _Deadline:
         with self._inflight_lock:

@@ -12,7 +12,11 @@ from repro.errors import (
     EmptyQueryError,
     VertexNotFoundError,
 )
-from repro.graph.generators import clique_chain_graph, paper_example_graph
+from repro.graph.generators import (
+    clique_chain_graph,
+    complete_graph,
+    paper_example_graph,
+)
 from repro.obs import runtime as obs_runtime
 from repro.serve import (
     PublishReport,
@@ -179,6 +183,65 @@ class TestQueryCache:
         assert dropped == 1
         assert cache.get(key, 2) is None
         assert cache.stats()["generation"] == 2
+
+
+class TestQueryCacheIntervals:
+    """Touch sets stored as ``(leaf_position, start, end)`` intervals."""
+
+    # vertex v sits at position POSITIONS[v]: leaf order 9 8 ... 1 0
+    POSITIONS = list(range(9, -1, -1))
+
+    def _advance_one(self, start, end, affected):
+        cache = QueryCache(capacity=8)
+        key = canonical_query("sc", (1, 2))
+        cache.put(key, 3, 0, touch=(self.POSITIONS, start, end))
+        cache.advance(1, affected=frozenset(affected))
+        return cache.get(key, 1) is not None
+
+    @pytest.mark.parametrize("positions", [(3,), (5,), (0, 4, 9)])
+    def test_drops_when_affected_lands_inside(self, positions):
+        # 3 = start and 5 = end - 1 of [3, 6)
+        vertices = {self.POSITIONS.index(p) for p in positions}
+        assert not self._advance_one(3, 6, vertices)
+
+    @pytest.mark.parametrize("positions", [(2,), (6,), (2, 6)])
+    def test_carries_when_affected_falls_just_outside(self, positions):
+        vertices = {self.POSITIONS.index(p) for p in positions}
+        assert self._advance_one(3, 6, vertices)
+
+    def test_vertices_past_the_array_are_skipped(self):
+        # A vertex added after the answering generation has no position
+        # there, so it cannot lie in the interval.
+        assert self._advance_one(0, 10, {10, 25})
+
+    def test_mixed_interval_and_frozenset_entries(self):
+        cache = QueryCache(capacity=8)
+        keys = [canonical_query("sc", (i, i + 1)) for i in range(4)]
+        cache.put(keys[0], 1, 0, touch=(self.POSITIONS, 0, 2))  # {9, 8}
+        cache.put(keys[1], 1, 0, touch=(self.POSITIONS, 5, 7))  # {4, 3}
+        cache.put(keys[2], 1, 0, touch=frozenset({0, 1}))
+        cache.put(keys[3], 1, 0, touch=frozenset({5, 6}))
+        assert cache.advance(1, affected=frozenset({8, 1})) == 2
+        assert [cache.get(k, 1) is not None for k in keys] == [
+            False, True, False, True
+        ]
+        assert cache.stats()["carried_over"] == 2
+
+    def test_two_leaf_position_arrays_live_at_once(self):
+        # The same interval names different vertices in two generations'
+        # leaf orders; each entry is tested against its own array.
+        identity = list(range(10))
+        cache = QueryCache(capacity=8)
+        old = canonical_query("sc", (0, 1))
+        new = canonical_query("sc", (8, 9))
+        cache.put(old, 2, 0, touch=(identity, 0, 3))       # {0, 1, 2}
+        cache.advance(1, affected=frozenset({5}))          # carries `old`
+        cache.put(new, 2, 1, touch=(self.POSITIONS, 0, 3))  # {9, 8, 7}
+        assert cache.advance(2, affected=frozenset({8})) == 1
+        assert cache.get(old, 2) is not None
+        assert cache.get(new, 2) is None
+        assert cache.advance(3, affected=frozenset({2})) == 1
+        assert len(cache) == 0
 
 
 # ----------------------------------------------------------------------
@@ -407,6 +470,20 @@ class TestServingIndex:
         hits_before = stats["hits"]
         assert serving.sc(far) == serving.snapshot().steiner_connectivity(far)
         assert serving.cache.stats()["hits"] == hits_before + 1
+
+    def test_publish_after_vertex_growth(self):
+        # Inserting an edge to a new vertex id grows the graph: the
+        # publish's affected set then holds a vertex past the end of the
+        # cached entries' leaf_position array.
+        serving = ServingIndex.build(complete_graph(5))
+        assert serving.sc([0, 1]) == 4
+        serving.smcc([2, 3])
+        serving.smcc_l([3, 4], size_bound=2)
+        serving.apply_updates(inserts=[(0, 9)])
+        serving.publish()
+        assert serving.sc([0, 1]) == 4
+        assert serving.sc([0, 9]) == 1
+        assert sorted(serving.smcc([2, 3]).vertices) == [0, 1, 2, 3, 4]
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

@@ -28,10 +28,11 @@ import pytest
 from conftest import random_connected_graph
 
 from repro.core.queries import SMCCIndex
-from repro.errors import DisconnectedQueryError
+from repro.errors import DisconnectedQueryError, InfeasibleSizeConstraintError
 from repro.graph.generators import clique_chain_graph
 from repro.graph.graph import Graph
-from repro.serve import ServeConfig, ServingIndex
+from repro.serve import QueryCache, ServeConfig, ServingIndex
+from repro.serve.delta import DeltaStar
 
 @pytest.fixture(autouse=True)
 def _zero_leak(shm_leak_sweep):
@@ -478,6 +479,199 @@ def test_delta_publish_under_freezer_stays_read_only():
     finally:
         if not was_enabled:
             freeze.disable()
+
+
+class _TwinCache:
+    """The serving cache plus a reference fed the same puts.
+
+    The live cache receives the touch sets the serving layer builds
+    (leaf intervals where an interval exists); the reference receives
+    the explicit frozensets the interval encoding replaced: the
+    answer's component plus the query vertices.  After every
+    :meth:`advance` both must hold the same keys.
+    """
+
+    def __init__(self, *, capacity: int, generation: int) -> None:
+        self.live = QueryCache(capacity=capacity, generation=generation)
+        self.reference = QueryCache(capacity=capacity, generation=generation)
+        self.serving: Optional[ServingIndex] = None
+        #: live touch encoding -> puts, as ("interval" | "set", kind, mode)
+        self.puts: Dict[Tuple[str, str, str], int] = {}
+        self.carried = 0
+        self.dropped = 0
+
+    def get(self, key, generation):
+        return self.live.get(key, generation)
+
+    def put(self, key, value, generation, touch=frozenset()):
+        assert self.serving is not None
+        snapshot = self.serving.snapshot()
+        assert snapshot.generation == generation  # sequential replay
+        vertex_touch = _vertex_touch(snapshot, key, value)
+        if isinstance(touch, tuple):
+            leaf_position, start, end = touch
+            assert leaf_position is snapshot.star.leaf_position
+            named = {
+                v for v, pos in enumerate(leaf_position) if start <= pos < end
+            }
+            assert named == vertex_touch, (key, value)
+        else:
+            assert touch == vertex_touch, (key, value)
+        self.live.put(key, value, generation, touch)
+        self.reference.put(key, value, generation, vertex_touch)
+        tag = (
+            "set" if isinstance(touch, frozenset) else "interval",
+            key[0],
+            "delta" if isinstance(snapshot.star, DeltaStar) else "full",
+        )
+        self.puts[tag] = self.puts.get(tag, 0) + 1
+
+    def advance(self, new_generation, affected=None):
+        before = _resident_keys(self.live)
+        dropped = self.live.advance(new_generation, affected)
+        assert self.reference.advance(new_generation, affected) == dropped
+        after = _resident_keys(self.live)
+        assert after == _resident_keys(self.reference), (
+            f"advance to {new_generation} with affected={sorted(affected or ())}: "
+            f"interval touches kept {sorted(after)}, vertex-set touches "
+            f"kept {sorted(_resident_keys(self.reference))}"
+        )
+        self.carried += len(after)
+        self.dropped += len(before) - len(after)
+        return dropped
+
+    def stats(self):
+        return self.live.stats()
+
+
+def _vertex_touch(snapshot, key, value) -> frozenset:
+    """An answer's touch set as an explicit vertex set."""
+    kind, q, _ = key
+    if kind == "sc":
+        if value <= 0:
+            return frozenset(q)
+        start, end = snapshot.star.component_interval(q[0], value)
+        return frozenset(snapshot.star.leaf_order[start:end]).union(q)
+    return frozenset(value.vertices).union(q)
+
+
+def _resident_keys(cache: QueryCache) -> frozenset:
+    with cache._lock:
+        return frozenset(cache._entries)
+
+
+def _replay_twin(seed: int, monkeypatch, ops: int = 60) -> _TwinCache:
+    """One stateful trace, replayed sequentially through a twin cache.
+
+    The reads and writes of :func:`_run_round`, plus ``smcc_l``, run in
+    one seeded sequence instead of racing threads, so both caches see
+    the same puts and advances.  Every served answer is also checked
+    against the snapshot it was served at.  A few inserts attach new
+    vertex ids, growing the graph past older generations' leaf orders.
+    """
+    import repro.serve.serving as serving_module
+
+    shape = seed % 4
+    if shape == 0:
+        graph = random_connected_graph(seed * 31 + 7, min_n=10, max_n=14)
+    elif shape == 1:
+        graph = _union_graph(seed)  # churn in one component spares the other
+    else:
+        graph = clique_chain_graph([5, 4, 6] if shape == 2 else [4, 6, 4, 5])
+    monkeypatch.setattr(serving_module, "QueryCache", _TwinCache)
+    serving = ServingIndex.build(
+        graph,
+        config=ServeConfig(
+            cache_capacity=64,
+            region_fraction_limit=1.0,
+            delta_publish=seed % 8 != 0,
+        ),
+    )
+    monkeypatch.undo()
+    twin = serving.cache
+    assert isinstance(twin, _TwinCache)
+    twin.serving = serving
+    rng = random.Random(seed)
+    n = graph.num_vertices
+    grown = n
+    present = sorted(serving.snapshot().edges)
+    removed: List[Edge] = []
+    for _ in range(ops):
+        roll = rng.random()
+        if roll < 0.25:
+            if grown < n + 3 and rng.random() < 0.1:
+                serving.apply_updates(inserts=[(rng.randrange(n), grown)])
+                grown += 1
+            elif removed and (rng.random() < 0.5 or not present):
+                edge = removed.pop(rng.randrange(len(removed)))
+                serving.apply_updates(inserts=[edge])
+                present.append(edge)
+            else:
+                edge = present.pop(rng.randrange(len(present)))
+                serving.apply_updates(deletes=[edge])
+                removed.append(edge)
+            continue
+        if roll < 0.35:
+            serving.publish()
+            continue
+        q = rng.sample(range(n), rng.randint(1, 3))
+        snap = serving.snapshot()
+        kind = rng.choice(("sc", "smcc", "smcc_l", "batch"))
+        if kind == "batch":
+            qs = [q, rng.sample(range(n), 2)]
+            assert serving.sc_batch(qs) == snap.steiner_connectivity_batch(qs)
+            continue
+        if kind == "sc":
+            served = _outcome(serving.sc, q)
+            direct = _outcome(snap.steiner_connectivity, q)
+        elif kind == "smcc":
+            served, direct = _outcome(serving.smcc, q), _outcome(snap.smcc, q)
+        else:
+            bound = rng.randint(1, n)
+            served = _outcome(serving.smcc_l, q, size_bound=bound)
+            direct = _outcome(snap.smcc_l, q, bound)
+        assert served == direct, (seed, kind, q)
+    serving.publish()
+    return twin
+
+
+def _outcome(call, *args, **kwargs) -> object:
+    """A comparable answer, or the name of the error raised."""
+    try:
+        result = call(*args, **kwargs)
+    except (DisconnectedQueryError, InfeasibleSizeConstraintError) as exc:
+        return type(exc).__name__
+    if isinstance(result, int):
+        return result
+    return result.connectivity, sorted(result.vertices)
+
+
+def test_interval_and_vertex_set_touches_carry_the_same_entries(monkeypatch):
+    """Differential: interval touch sets drop exactly what vertex sets did.
+
+    Replays seeded traces through two caches fed the same puts — one
+    storing the serving layer's leaf-interval touches, one storing the
+    equivalent explicit vertex sets — and requires the same carried
+    key set after every advance, across full and delta generations and
+    across ``smcc_l`` answered by the MST walk on delta generations.
+    """
+    carried = dropped = 0
+    puts: Dict[Tuple[str, str, str], int] = {}
+    for seed in range(48):
+        twin = _replay_twin(seed, monkeypatch)
+        carried += twin.carried
+        dropped += twin.dropped
+        for tag, count in twin.puts.items():
+            puts[tag] = puts.get(tag, 0) + count
+    assert carried > 0 and dropped > 0, (carried, dropped)
+    for tag in (
+        ("interval", "sc", "full"),
+        ("interval", "sc", "delta"),
+        ("interval", "smcc", "delta"),
+        ("interval", "smcc_l", "full"),
+        ("interval", "smcc_l", "delta"),
+    ):
+        assert puts.get(tag, 0) > 0, (tag, puts)
 
 
 @pytest.mark.serve_stress
