@@ -78,6 +78,11 @@ from typing import (
     Tuple,
 )
 
+from repro.analysis.engine import (
+    comment_only_lines,
+    is_lock_factory_call,
+    self_attr_path,
+)
 from repro.analysis.findings import Finding, ModuleContext
 from repro.analysis.rules import ProjectRule, Rule, register
 
@@ -110,21 +115,6 @@ _GUARD_COMMENT_RE = re.compile(r"#\s*guarded-by:\s*(?P<spec>.+?)\s*$")
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _LOCK_PATH_RE = re.compile(rf"^{_IDENT}(\.{_IDENT})*$")
 _EXTERNAL_RE = re.compile(rf"^external:\s*(?P<cls>{_IDENT})\.(?P<attr>{_IDENT})$")
-
-#: call names that create a lock object (stdlib factories plus the
-#: sanitizer-aware factories of repro.analysis.tsan)
-_LOCK_FACTORIES = frozenset(
-    {
-        "Lock",
-        "RLock",
-        "Condition",
-        "Semaphore",
-        "BoundedSemaphore",
-        "new_lock",
-        "new_rlock",
-    }
-)
-
 
 class GuardSpecError(ValueError):
     """A ``guarded-by`` annotation does not parse."""
@@ -207,14 +197,6 @@ def _guard_comment_lines(source: str) -> Dict[int, str]:
     return out
 
 
-def _comment_only_lines(source: str) -> FrozenSet[int]:
-    out: Set[int] = set()
-    for lineno, text in enumerate(source.splitlines(), start=1):
-        if text.lstrip().startswith("#"):
-            out.add(lineno)
-    return frozenset(out)
-
-
 # ----------------------------------------------------------------------
 # The per-module shared-state model
 # ----------------------------------------------------------------------
@@ -271,43 +253,20 @@ class ModuleModel:
 _INIT_METHODS = frozenset({"__init__", "__post_init__"})
 
 
-def _self_attr_path(expr: ast.AST) -> Optional[Tuple[str, ...]]:
-    """``self.a.b.c`` -> ``("a", "b", "c")``; None for anything else."""
-    parts: List[str] = []
-    node = expr
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name) and node.id == "self" and parts:
-        return tuple(reversed(parts))
-    return None
-
-
-def _is_lock_factory_call(value: ast.AST) -> bool:
-    if not isinstance(value, ast.Call):
-        return False
-    func = value.func
-    if isinstance(func, ast.Name):
-        return func.id in _LOCK_FACTORIES
-    if isinstance(func, ast.Attribute):
-        return func.attr in _LOCK_FACTORIES
-    return False
-
-
 def _assigned_self_attrs(stmt: ast.stmt) -> List[Tuple[str, ast.AST]]:
     """``(attr, value)`` pairs for ``self.attr = ...`` style statements."""
     out: List[Tuple[str, ast.AST]] = []
     if isinstance(stmt, ast.Assign):
         for target in stmt.targets:
-            path = _self_attr_path(target)
+            path = self_attr_path(target)
             if path is not None and len(path) == 1:
                 out.append((path[0], stmt.value))
     elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-        path = _self_attr_path(stmt.target)
+        path = self_attr_path(stmt.target)
         if path is not None and len(path) == 1:
             out.append((path[0], stmt.value))
     elif isinstance(stmt, ast.AugAssign):
-        path = _self_attr_path(stmt.target)
+        path = self_attr_path(stmt.target)
         if path is not None and len(path) == 1:
             out.append((path[0], stmt.value))
     return out
@@ -351,7 +310,7 @@ def _property_returned_attr(func: ast.FunctionDef) -> Optional[str]:
     ]
     if len(body) != 1 or not isinstance(body[0], ast.Return):
         return None
-    path = _self_attr_path(body[0].value) if body[0].value is not None else None
+    path = self_attr_path(body[0].value) if body[0].value is not None else None
     if path is not None and len(path) == 1:
         return path[0]
     return None
@@ -360,7 +319,7 @@ def _property_returned_attr(func: ast.FunctionDef) -> Optional[str]:
 def build_module_model(ctx: ModuleContext) -> ModuleModel:
     """Extract the shared-state model the concurrency rules consume."""
     comments = _guard_comment_lines(ctx.source)
-    comment_only = _comment_only_lines(ctx.source)
+    comment_only = comment_only_lines(ctx.source)
     consumed: Set[int] = set()
     model = ModuleModel()
 
@@ -531,7 +490,7 @@ def _scan_init(
         for attr, value in _assigned_self_attrs(stmt):
             first_time = attr not in cm.init_attrs
             cm.init_attrs.setdefault(attr, stmt.lineno)
-            if _is_lock_factory_call(value):
+            if is_lock_factory_call(value):
                 cm.lock_attrs.add(attr)
             if (
                 first_time
@@ -594,7 +553,7 @@ def guard_specs_for_class(
     """
     tree = ast.parse(source, filename=path)
     comments = _guard_comment_lines(source)
-    comment_only = _comment_only_lines(source)
+    comment_only = comment_only_lines(source)
     consumed: Set[int] = set()
     model = ModuleModel()
     for stmt in tree.body:
@@ -771,7 +730,7 @@ def _walk_held(
             if item.optional_vars is not None:
                 yield item.optional_vars, held
                 yield from _walk_held(item.optional_vars, held, cls)
-            path = _self_attr_path(item.context_expr)
+            path = self_attr_path(item.context_expr)
             if path is not None:
                 acquired.add(cls.normalize_path(path))
         inner = held | acquired
@@ -847,7 +806,7 @@ class GuardedByViolationRule(_ConcurrencyRule):
         writes: FrozenSet[int],
     ) -> Iterator[Finding]:
         if isinstance(node, ast.Attribute):
-            path = _self_attr_path(node)
+            path = self_attr_path(node)
             if path is None or len(path) != 1:
                 return
             attr = path[0]
@@ -882,7 +841,7 @@ class GuardedByViolationRule(_ConcurrencyRule):
                 )
         elif isinstance(node, ast.Call):
             func = node.func
-            path = _self_attr_path(func)
+            path = self_attr_path(func)
             if path is None or len(path) != 1:
                 return
             guard = cls.method_guards.get(path[0])
@@ -976,7 +935,7 @@ class _LockGraphBuilder:
             if not isinstance(node, ast.With):
                 continue
             for item in node.items:
-                path = _self_attr_path(item.context_expr)
+                path = self_attr_path(item.context_expr)
                 if path is None:
                     continue
                 resolved = self.resolve(cls, path)
@@ -1019,7 +978,7 @@ class _LockGraphBuilder:
             taken = set(held)
             for item in stmt.items:
                 self._scan_expr(ctx, cls, item.context_expr, held)
-                path = _self_attr_path(item.context_expr)
+                path = self_attr_path(item.context_expr)
                 if path is None:
                     continue
                 node = self.resolve(cls, path)
@@ -1059,7 +1018,7 @@ class _LockGraphBuilder:
             stack.extend(ast.iter_child_nodes(sub))
             if not isinstance(sub, ast.Call):
                 continue
-            path = _self_attr_path(sub.func)
+            path = self_attr_path(sub.func)
             if path is None:
                 continue
             if len(path) == 1:

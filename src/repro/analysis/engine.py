@@ -72,6 +72,55 @@ def string_literal_lines(tree: ast.AST) -> FrozenSet[int]:
     return frozenset(out)
 
 
+def comment_only_lines(source: str) -> FrozenSet[int]:
+    """Lines holding nothing but a comment (annotations on them attach
+    to the anchor line directly below)."""
+    out: Set[int] = set()
+    for lineno, text in enumerate(source.splitlines(), start=1):
+        if text.lstrip().startswith("#"):
+            out.add(lineno)
+    return frozenset(out)
+
+
+def self_attr_path(expr: ast.AST) -> Optional[Tuple[str, ...]]:
+    """``self.a.b.c`` -> ``("a", "b", "c")``; None for anything else."""
+    parts: List[str] = []
+    node = expr
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id == "self" and parts:
+        return tuple(reversed(parts))
+    return None
+
+
+#: callables whose result is a lock (``threading`` names plus the
+#: sanitizer-aware factories of :mod:`repro.analysis.tsan`)
+LOCK_FACTORIES = frozenset(
+    {
+        "Lock",
+        "RLock",
+        "Condition",
+        "Semaphore",
+        "BoundedSemaphore",
+        "new_lock",
+        "new_rlock",
+    }
+)
+
+
+def is_lock_factory_call(value: ast.AST) -> bool:
+    """``threading.Lock()``, ``new_lock(...)`` and the like."""
+    if not isinstance(value, ast.Call):
+        return False
+    func = value.func
+    if isinstance(func, ast.Name):
+        return func.id in LOCK_FACTORIES
+    if isinstance(func, ast.Attribute):
+        return func.attr in LOCK_FACTORIES
+    return False
+
+
 def build_context(path: str, source: str, root: Optional[str] = None) -> ModuleContext:
     """Parse ``source`` into the per-module context rules consume."""
     try:

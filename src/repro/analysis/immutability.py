@@ -15,7 +15,7 @@ Annotation language (trailing comment on the anchor line, or on the
 comment-only line directly above it)::
 
     class IndexSnapshot:            # deep-frozen
-    class MSTStar:                  # frozen-after: _batch_arrays
+    class ResultTable:              # frozen-after: _materialize
     self.value = value              # deep-frozen
     self._visit_epoch = [0] * n     # frozen-exempt: epoch scratch
     mst: MSTIndex,                  # escape: borrowed     (parameter)
@@ -27,7 +27,7 @@ comment-only line directly above it)::
 - ``frozen-after: <m>[, <m>...]`` on a ``class`` line: like
   ``deep-frozen``, but the named capture methods (plus anything
   ``__init__`` or a capture method calls on ``self``) may still
-  mutate — the lazy-build escape hatch (``MSTStar._batch_arrays``).
+  mutate — the lazy-build escape hatch for a table filled on first use.
 - ``frozen-exempt[: reason]`` on an attribute: mutable scratch state
   excluded from the frozen surface (it must carry its own ``guarded-by``
   discipline — e.g. the epoch-marking arrays serialized by
@@ -87,6 +87,12 @@ from typing import (
     Tuple,
 )
 
+from repro.analysis.engine import (
+    comment_only_lines,
+    is_lock_factory_call,
+    self_attr_path,
+    string_literal_lines,
+)
 from repro.analysis.findings import Finding, ModuleContext
 from repro.analysis.rules import ProjectRule, Rule, register
 
@@ -170,18 +176,6 @@ _GENERIC_CALL_NAMES = frozenset(
     {"get", "pop", "copy", "items", "keys", "values", "setdefault", "next"}
 )
 
-_LOCK_FACTORIES = frozenset(
-    {
-        "Lock",
-        "RLock",
-        "Condition",
-        "Semaphore",
-        "BoundedSemaphore",
-        "new_lock",
-        "new_rlock",
-    }
-)
-
 _INIT_METHODS = frozenset({"__init__", "__post_init__"})
 
 _SCOPE_DIRS = frozenset({"serve", "index", "core"})
@@ -190,27 +184,6 @@ _SCOPE_DIRS = frozenset({"serve", "index", "core"})
 # ----------------------------------------------------------------------
 # Source scanning helpers
 # ----------------------------------------------------------------------
-def _string_lines(tree: ast.AST) -> FrozenSet[int]:
-    """Lines whose ``#`` can only be inside a multi-line string literal
-    (docstrings quote annotation examples; a regex scan must not attach
-    those).  Closing lines are excluded — a trailing comment there is
-    real code."""
-    out: Set[int] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            end = getattr(node, "end_lineno", node.lineno) or node.lineno
-            out.update(range(node.lineno, end))
-    return frozenset(out)
-
-
-def _comment_only_lines(source: str) -> FrozenSet[int]:
-    out: Set[int] = set()
-    for lineno, text in enumerate(source.splitlines(), start=1):
-        if text.lstrip().startswith("#"):
-            out.add(lineno)
-    return frozenset(out)
-
-
 @dataclass
 class _Annotations:
     """Every immutability comment in one module, keyed by line."""
@@ -241,8 +214,8 @@ class _Annotations:
 
 
 def _scan_annotations(source: str, tree: ast.AST) -> _Annotations:
-    ann = _Annotations(comment_only=_comment_only_lines(source))
-    skip = _string_lines(tree)
+    ann = _Annotations(comment_only=comment_only_lines(source))
+    skip = string_literal_lines(tree)
     for lineno, text in enumerate(source.splitlines(), start=1):
         if lineno in skip and lineno not in ann.comment_only:
             continue
@@ -376,28 +349,6 @@ def _annotation_is_immutable(expr: Optional[ast.expr]) -> bool:
     return False
 
 
-def _self_attr_path(expr: ast.AST) -> Optional[Tuple[str, ...]]:
-    parts: List[str] = []
-    node = expr
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name) and node.id == "self" and parts:
-        return tuple(reversed(parts))
-    return None
-
-
-def _is_lock_factory_call(value: ast.AST) -> bool:
-    if not isinstance(value, ast.Call):
-        return False
-    func = value.func
-    if isinstance(func, ast.Name):
-        return func.id in _LOCK_FACTORIES
-    if isinstance(func, ast.Attribute):
-        return func.attr in _LOCK_FACTORIES
-    return False
-
-
 def _function_args(func: ast.FunctionDef) -> List[ast.arg]:
     args = list(getattr(func.args, "posonlyargs", [])) + list(func.args.args)
     return args + list(func.args.kwonlyargs)
@@ -510,11 +461,11 @@ def _scan_class(
             )
             value = stmt.value
             for target in targets:
-                path = _self_attr_path(target)
+                path = self_attr_path(target)
                 if path is None or len(path) != 1:
                     continue
                 attr = path[0]
-                if value is not None and _is_lock_factory_call(value):
+                if value is not None and is_lock_factory_call(value):
                     info.lock_attrs.add(attr)
                 if ann.attach(ann.deep_frozen, stmt.lineno) is not None:
                     info.frozen_attrs[attr] = stmt.lineno
@@ -1006,7 +957,7 @@ class FrozenEscapeRule(ProjectRule):
                     else [node.target]
                 )
                 for target in targets:
-                    path = _self_attr_path(target)
+                    path = self_attr_path(target)
                     if path is None or len(path) != 1:
                         continue
                     yield from self._check_store(

@@ -15,7 +15,8 @@ full-structure recomputation:
   vertex set (Lemma 4.6's precondition for the pruned BFS).
 - :func:`mst_star_consistent` — Lemma A.1/A.2: MST* is a full binary
   tree with non-increasing root-path weights whose LCA weights equal
-  the tree-edge steiner-connectivities.
+  the tree-edge steiner-connectivities, and whose gap table holds the
+  LCA weight of every pair of adjacent leaves.
 - :func:`dinic_flow_conserved` — max-flow ground truth: the residual
   network encodes a feasible flow of the claimed value.
 """
@@ -24,6 +25,8 @@ from __future__ import annotations
 
 from collections import deque
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.util.disjoint_set import DisjointSet
 
@@ -140,8 +143,9 @@ def mst_star_consistent(star: "MSTStar", mst: "MSTIndex") -> bool:
     """Structural validity plus LCA-weight agreement with the MST.
 
     Runs :meth:`MSTStar.validate` (full binary tree, non-increasing
-    weights toward the root) and then checks, for every MST tree edge
-    ``(u, v, w)``, that the MST* query answers ``sc(u, v) == w`` —
+    weights toward the root), checks the gap table against the tree
+    (:func:`gap_table_consistent`), and then checks, for every MST tree
+    edge ``(u, v, w)``, that the MST* query answers ``sc(u, v) == w`` —
     adjacent tree vertices have steiner-connectivity exactly the edge
     weight, and together these pairs exercise every internal node.
     """
@@ -149,8 +153,53 @@ def mst_star_consistent(star: "MSTStar", mst: "MSTIndex") -> bool:
         star.validate()
     except AssertionError:
         return False
+    if not gap_table_consistent(star):
+        return False
     for u, v, w in mst.tree_edges():
         if star.steiner_connectivity([u, v]) != w:
+            return False
+    return True
+
+
+def gap_table_consistent(star: "MSTStar") -> bool:
+    """The gap row and its sparse table agree with the MST* tree.
+
+    ``leaf_order`` and ``leaf_position`` are inverse permutations; each
+    ``gap[i]`` is the weight of the LCA of the leaves at positions ``i``
+    and ``i + 1`` (0 when they lie in different trees), found by
+    climbing parent pointers from the left leaf to the first ancestor
+    whose interval holds position ``i + 1`` — O(|V|) in total, since a
+    node is climbed through only from the last leaf of its interval;
+    and every sparse-table row is the pairwise minimum of the row below.
+    """
+    n = star.num_leaves
+    order = star.leaf_order
+    position = star.leaf_position
+    if sorted(order) != list(range(n)):
+        return False
+    if any(position[v] != i for i, v in enumerate(order)):
+        return False
+    gap = star.gap
+    if gap.shape[0] != max(n - 1, 0):
+        return False
+    parents = star.parents
+    start = star._interval_start
+    end = star._interval_end
+    weights = star.weights
+    for i in range(n - 1):
+        node = order[i]
+        while node >= 0 and not (start[node] <= i + 1 < end[node]):
+            node = parents[node]
+        if int(gap[i]) != (weights[node] if node >= 0 else 0):
+            return False
+    rmq = star._rmq
+    if (rmq[0] != gap).any():
+        return False
+    for j in range(1, rmq.shape[0]):
+        width = n - 1 - (1 << j) + 1
+        half = 1 << (j - 1)
+        expected = np.minimum(rmq[j - 1, :width], rmq[j - 1, half : half + width])
+        if (rmq[j, :width] != expected).any():
             return False
     return True
 

@@ -92,6 +92,7 @@ from typing import (
     Tuple,
 )
 
+from repro.analysis.engine import comment_only_lines
 from repro.analysis.findings import Finding, ModuleContext
 from repro.analysis.rules import Rule, register
 
@@ -178,14 +179,6 @@ def _string_lines(tree: ast.AST) -> FrozenSet[int]:
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             end = getattr(node, "end_lineno", node.lineno) or node.lineno
             out.update(range(node.lineno, end + 1))
-    return frozenset(out)
-
-
-def _comment_only_lines(source: str) -> FrozenSet[int]:
-    out: Set[int] = set()
-    for lineno, text in enumerate(source.splitlines(), start=1):
-        if text.lstrip().startswith("#"):
-            out.add(lineno)
     return frozenset(out)
 
 
@@ -1214,7 +1207,7 @@ def _analyze(ctx: ModuleContext) -> _Report:
     info = _ModuleInfo()
     tree = ctx.tree
     inert = _string_lines(tree)
-    comment_only = _comment_only_lines(ctx.source)
+    comment_only = comment_only_lines(ctx.source)
     anns = _parse_annotations(ctx.source, inert)
     _scan_imports(tree, info)
     _anchor_annotations(tree, anns, comment_only, info, report)

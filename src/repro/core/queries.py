@@ -398,7 +398,8 @@ class SMCCIndex:
     def steiner_connectivity_batch(self, queries: Sequence[Sequence[int]]) -> List[int]:
         """Vectorized ``sc(q)`` for a whole batch of queries.
 
-        One sparse-table RMQ gather answers every query at once — see
+        One vectorized range minimum over the MST* gap table answers
+        every query at once — see
         :meth:`MSTStar.steiner_connectivity_batch`.  Disconnected
         queries (and isolated singletons) answer 0 instead of raising,
         the batch convention shared with :meth:`sc_pairs_batch`.

@@ -8,7 +8,6 @@ from repro.index.connectivity_graph import (
     conn_graph_batch,
     conn_graph_sharing,
 )
-from repro.index.lca import EulerTourLCA
 from repro.index.maintenance import IndexMaintainer
 from repro.index.mst import MSTIndex, build_mst
 from repro.index.mst_star import MSTStar, build_mst_star
@@ -22,6 +21,5 @@ __all__ = [
     "build_mst",
     "MSTStar",
     "build_mst_star",
-    "EulerTourLCA",
     "IndexMaintainer",
 ]

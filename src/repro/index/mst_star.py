@@ -18,6 +18,18 @@ attaching the current MST* roots of its two endpoints as children; the
 modified union-find of :class:`~repro.util.disjoint_set.DisjointSetWithRoot`
 provides the current roots in amortized inverse-Ackermann time, so the
 build is O(|V|) after the O(|V|) bin sort.
+
+Read structure.  ``T*`` is the Kruskal reconstruction tree of the MST,
+hence the Cartesian tree of its *gap row*
+``gap[i] = sc(leaf_order[i], leaf_order[i + 1])`` over the DFS leaf
+order (0 between components).  The LCA of two leaves is the minimum
+internal node between them in that order, so
+``sc(u, v) = min gap[pos u : pos v]``, and the LCA of a leaf *set* is
+the LCA of its leftmost and rightmost leaves:
+``sc(q) = min gap[min pos(q) : max pos(q)]`` — one range minimum per
+query (the LCA/RMQ equivalence of Gabow–Bentley–Tarjan and
+Bender–Farach-Colton).  A sparse table over the gaps answers each range
+minimum with two reads, in O(|V| log |V|) preprocessing.
 """
 
 from __future__ import annotations
@@ -33,10 +45,8 @@ from repro.errors import (
     DisconnectedQueryError,
     EmptyQueryError,
     InfeasibleSizeConstraintError,
-    InternalInvariantError,
     VertexNotFoundError,
 )
-from repro.index.lca import EulerTourLCA
 from repro.index.mst import MSTIndex
 from repro.obs import runtime as _obs
 from repro.util.disjoint_set import DisjointSetWithRoot
@@ -50,15 +60,37 @@ def _first_invalid_vertex(us: np.ndarray, vs: np.ndarray, n: int) -> int:
     return int(us[i]) if bad_us[i] else int(vs[i])
 
 
-class MSTStar:  # deep-frozen
-    """The MST* tree with O(1) LCA, answering sc queries in O(|q|).
+def sparse_min_table(gap: np.ndarray) -> np.ndarray:
+    """Range-minimum sparse table over ``gap`` as one dense int64 matrix.
 
-    Construction eagerly materializes every read structure — the Euler
-    tour LCA tables (scalar lists *and* the int64 gather arrays used by
-    the batched kernels), the leaf-interval view, and the binary-lifting
-    jump table — so instances are deeply immutable from the moment they
-    exist.  Snapshots that share an MST* by identity (delta publishes)
-    therefore share one set of batch buffers across generations.
+    Row ``j`` holds ``min gap[i : i + 2^j]`` at column ``i`` (zero-padded
+    past ``len(gap) - 2^j``, columns a level-``j`` query never reads);
+    row 0 is the gap row itself.  Any range ``[lo, hi)`` is covered by
+    two level-``j`` windows with ``j = floor(log2(hi - lo))``.
+    """
+    m = int(gap.shape[0])
+    table = np.zeros((max(m.bit_length(), 1), m), dtype=np.int64)
+    table[0] = gap
+    for j in range(1, table.shape[0]):
+        half = 1 << (j - 1)
+        width = m - (1 << j) + 1
+        np.minimum(
+            table[j - 1, :width], table[j - 1, half : half + width],
+            out=table[j, :width],
+        )
+    return table
+
+
+class MSTStar:  # deep-frozen
+    """The MST* tree with an O(1) range-minimum sc read structure.
+
+    Construction eagerly materializes every read structure — the leaf
+    order and its interval view, the binary-lifting jump table, and the
+    gap row with its sparse table — so instances are deeply immutable
+    from the moment they exist.  Every sc family (scalar, pairwise,
+    batched, singleton) is answered from the gap table alone, and a
+    delta snapshot (:class:`~repro.serve.delta.DeltaStar`) runs the same
+    code over its own spliced table.
     """
 
     #: True when :meth:`smcc_l_interval` is available (delta snapshots
@@ -81,10 +113,42 @@ class MSTStar:  # deep-frozen
         self.weights = weights
         #: the MST edge each internal node corresponds to (None for leaves)
         self.tree_edge_of_node = tree_edge_of_node
-        self._lca = EulerTourLCA(parents)
         self._build_leaf_intervals()
         self._build_jump_table()
-        self._build_batch_arrays()
+        self._install_gaps(sparse_min_table(self._gap_row()))
+
+    @classmethod
+    def over_arrays(
+        cls,
+        parents: np.ndarray,  # escape: owned
+        weights: np.ndarray,  # escape: owned
+        leaf_order: np.ndarray,  # escape: owned
+        leaf_position: np.ndarray,  # escape: owned
+        interval_start: np.ndarray,  # escape: owned
+        interval_end: np.ndarray,  # escape: owned
+        jump: np.ndarray,  # escape: owned
+        rmq: np.ndarray,  # escape: owned
+    ) -> "MSTStar":
+        """An MST* over already-built int64 buffers (no rebuild).
+
+        The shared-memory worker view maps an exported star this way:
+        every query path indexes these tables with plain ``[i]`` (or
+        ``.item``), so ndarrays stand in for the lists.
+        ``tree_edge_of_node`` is debug metadata with no read path in the
+        served families and stays unset.
+        """
+        star = cls.__new__(cls)
+        star.num_leaves = int(leaf_position.shape[0])
+        star.parents = parents  # type: ignore[assignment]
+        star.weights = weights  # type: ignore[assignment]
+        star.tree_edge_of_node = None  # type: ignore[assignment]
+        star.leaf_order = leaf_order  # type: ignore[assignment]
+        star.leaf_position = leaf_position  # type: ignore[assignment]
+        star._interval_start = interval_start  # type: ignore[assignment]
+        star._interval_end = interval_end  # type: ignore[assignment]
+        star._jump = jump  # type: ignore[assignment]
+        star._install_gaps(rmq)
+        return star
 
     # ------------------------------------------------------------------
     # Interval view: every MST* subtree (= every k-ecc) is a contiguous
@@ -124,9 +188,53 @@ class MSTStar:  # deep-frozen
                     for child in reversed(children[node]):
                         stack.append((child, False))
 
+    def _gap_row(self) -> np.ndarray:
+        """``gap[i] = sc(leaf_order[i], leaf_order[i + 1])`` in O(|V|).
+
+        Every internal node splits its interval between its two
+        children, and its weight is the gap at that split: the right
+        child starts at ``interval_start``, so the gap just left of it
+        is the node's.  Gaps between components stay 0.
+        """
+        gap = np.zeros(max(self.num_leaves - 1, 0), dtype=np.int64)
+        parents = np.asarray(self.parents, dtype=np.int64)
+        start = np.asarray(self._interval_start, dtype=np.int64)
+        child = np.flatnonzero(parents >= 0)
+        parent = parents[child]
+        right = start[child] > start[parent]
+        gap[start[child[right]] - 1] = np.asarray(self.weights, dtype=np.int64)[
+            parent[right]
+        ]
+        return gap
+
+    def _install_gaps(
+        self,
+        rmq: np.ndarray,  # escape: owned
+        vertex_component: Optional[np.ndarray] = None,  # escape: owned
+    ) -> None:
+        """Install the sc read structure over ``leaf_position``.
+
+        ``vertex_component`` is derived from the gap row unless given
+        (a delta shares its base's: its region lies in one component).
+        """
+        #: dense sparse table over the gap row (see sparse_min_table)
+        self._rmq = rmq
+        #: gap[i] = sc(leaf_order[i], leaf_order[i + 1]); 0 across components
+        self.gap = rmq[0]
+        #: int64 gather buffer of leaf_position for the batched kernels
+        #: (the buffer itself when leaf_position already is an ndarray)
+        self._position_arr = np.asarray(self.leaf_position, dtype=np.int64)
+        if vertex_component is None:
+            # Components are contiguous runs of the leaf order, numbered
+            # in root order: a leaf's id counts the zero gaps left of it.
+            at_position = np.zeros(self.gap.shape[0] + 1, dtype=np.int64)
+            np.cumsum(self.gap == 0, out=at_position[1:])
+            vertex_component = at_position[self._position_arr]
+        #: per-vertex component id, for routing and error messages
+        self.vertex_component = vertex_component
+
     def _build_jump_table(self) -> None:
         """Binary lifting over parent pointers (for component_node)."""
-        total = len(self.parents)
         table = [list(self.parents)]
         while any(p >= 0 for p in table[-1]):
             prev = table[-1]
@@ -171,68 +279,75 @@ class MSTStar:  # deep-frozen
         return self.leaf_order[start:end]
 
     # ------------------------------------------------------------------
-    # Batched kernels: struct-of-arrays RMQ over the Euler-tour sparse
-    # table.  One gather pass answers thousands of LCA probes.
+    # sc from the gap table
     # ------------------------------------------------------------------
-    def _build_batch_arrays(self) -> None:
-        """Alias the LCA's eager int64 gather buffers (no copies)."""
-        lca = self._lca
-        self._parents_arr = np.asarray(self.parents, dtype=np.int64)
-        self._weights_arr = np.asarray(self.weights, dtype=np.int64)
-        self._np_arrays = (
-            lca.first_arr,
-            lca.component_arr,
-            lca.euler_arr,
-            lca.depth_arr,
-            lca.log_arr,
-            lca.table2d,
-            self._weights_arr,
-        )
+    def _span_sc(self, lo: int, hi: int) -> int:
+        """sc of a leaf set whose positions span ``[lo, hi]``; 0 = none.
 
-    def _batch_arrays(self):
-        """The int64 gather buffers behind the batched kernels.
-
-        Built eagerly at construction (they alias the
-        :class:`EulerTourLCA` buffers, themselves byproducts of the
-        vectorized sparse-table build), so frozen and delta snapshots
-        that share this MST* by identity share one buffer set across
-        generations instead of each materializing a lazy copy.
+        ``lo < hi``: one range minimum over ``gap[lo:hi]``.  ``lo == hi``
+        (a singleton): the Section 2 reduction
+        ``sc({v}) = max_{v'} sc(v, v')`` is the weight of the leaf's
+        parent, which is the larger of its two adjacent gaps (the other
+        one belongs to a lighter ancestor, Lemma A.1).  0 means the
+        positions span two components, or the vertex is isolated.
         """
-        return self._np_arrays
+        if lo == hi:
+            gap = self.gap
+            left = gap.item(lo - 1) if lo > 0 else 0
+            right = gap.item(lo) if lo < gap.shape[0] else 0
+            return left if left > right else right
+        j = int(hi - lo).bit_length() - 1
+        rmq = self._rmq
+        a = rmq.item(j, lo)
+        b = rmq.item(j, hi - (1 << j))
+        return a if a < b else b
 
-    def _pairwise_sc_raw(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Raw batched ``sc`` gather — no validation.
+    def _spans_sc(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`_span_sc` over parallel position arrays."""
+        multi = hi > lo
+        if multi.all():
+            return self._range_mins(lo, hi)
+        out = np.zeros(lo.shape[0], dtype=np.int64)
+        gap = self.gap
+        m = gap.shape[0]
+        if m == 0:  # at most one leaf: every span is an isolated singleton
+            return out
+        p = lo[~multi]
+        left = np.where(p > 0, gap[np.maximum(p - 1, 0)], 0)
+        right = np.where(p < m, gap[np.minimum(p, m - 1)], 0)
+        out[~multi] = np.maximum(left, right)
+        out[multi] = self._range_mins(lo[multi], hi[multi])
+        return out
 
-        ``us``/``vs`` must be in-range int64 arrays of equal length.
-        Cross-component pairs yield 0 (the batch convention), and
-        ``u == v`` pairs fall out as 0 naturally (the RMQ lands on the
-        leaf itself, whose weight is 0).  Delta snapshots override this
-        to route patched leaves; the validating wrappers
-        (:meth:`sc_pairs_batch`, :meth:`steiner_connectivity_batch`)
-        are inherited unchanged.
-        """
-        first, component, euler, depth, log, table2d, weights = self._np_arrays
-        left = first[us]
-        right = first[vs]
-        left2 = np.minimum(left, right)
-        right2 = np.maximum(left, right)
-        span = right2 - left2 + 1
-        j = log[span]
-        # Dense sparse-table RMQ: the two covering power-of-two windows
-        # resolve as two fancy-indexed gathers over the level matrix.
-        a = table2d[j, left2]
-        b = table2d[j, right2 - np.left_shift(np.int64(1), j) + 1]
-        best = np.where(depth[a] <= depth[b], a, b)
-        sc = weights[euler[best]]
-        same = component[us] == component[vs]
-        return np.where(same, sc, 0)
+    def _range_mins(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """``min gap[lo:hi]`` per pair of positions (``lo < hi``)."""
+        # floor(log2(hi - lo)) from the float exponent: hi - lo = f * 2^e
+        # with f in [0.5, 1), exact for any span below 2^53.
+        j = np.frexp(hi - lo)[1].astype(np.int64) - 1
+        rmq = self._rmq
+        # Gathers through the flat table: about twice as fast as the
+        # same lookups as 2-D fancy indexing.
+        row = j * rmq.shape[1]
+        flat = rmq.reshape(-1)
+        return np.minimum(flat[row + lo], flat[row + hi - np.left_shift(1, j)])
+
+    def _disconnected(self, q: Sequence[int]) -> DisconnectedQueryError:
+        """The scalar error for a query whose span holds a zero gap."""
+        v0 = q[0]
+        component = self.vertex_component
+        for v in q:
+            if component[v] != component[v0]:
+                return DisconnectedQueryError(
+                    f"vertices {v0} and {v} are in different components"
+                )
+        return DisconnectedQueryError(f"vertex {v0} is isolated; sc undefined")
 
     def sc_pairs_batch(self, us, vs):
         """Vectorized ``sc(u, v)`` for parallel arrays of pairs.
 
-        Uses numpy gathers over the Euler-tour sparse table: the whole
-        batch costs a handful of array operations instead of one Python
-        LCA call per pair — 1–2 orders of magnitude faster for large
+        Two gathers of leaf positions and one vectorized range minimum
+        over the gap table answer the whole batch — 1–2 orders of
+        magnitude faster than one Python call per pair for large
         batches (analytics workloads: all-pairs studies, similarity
         matrices).  Pairs in different components yield 0; ``u == v``
         pairs are invalid (ValueError); an out-of-range vertex raises
@@ -255,25 +370,26 @@ class MSTStar:  # deep-frozen
             raise VertexNotFoundError(_first_invalid_vertex(us, vs, n))
         if (us == vs).any():
             raise ValueError("sc of a vertex with itself is undefined")
-        return self._pairwise_sc_raw(us, vs)
+        pu = self._position_arr[us]
+        pv = self._position_arr[vs]
+        return self._spans_sc(np.minimum(pu, pv), np.maximum(pu, pv))
 
     def steiner_connectivity_batch(self, queries: Sequence[Sequence[int]]) -> np.ndarray:
         """Vectorized Algorithm 11 over a whole query *set*.
 
-        Every query's vertices are broadcast against its first vertex
-        (the anchor) and the flattened batch goes through one
-        sparse-table RMQ pass (:meth:`_pairwise_sc_raw`), then a
-        segmented ``minimum.reduceat`` folds each query's pair values.
-        Returns one int64 sc value per query.
+        The flattened batch is mapped to leaf positions, segmented
+        ``minimum.reduceat`` / ``maximum.reduceat`` give each query's
+        leftmost and rightmost leaf, and one vectorized range minimum
+        over the gap table answers every query.  Returns one int64 sc
+        value per query.
 
         Unlike the scalar :meth:`steiner_connectivity`, disconnected
         queries and isolated singletons answer 0 — the serving batch
         convention — instead of raising; out-of-range vertices still
         raise :class:`VertexNotFoundError` (first offender in flat
         order) and empty queries :class:`EmptyQueryError`.  Duplicate
-        vertices inside a query are harmless: self-pairs are masked
-        positionally, so ``[v, v]`` answers like the deduplicated
-        singleton ``[v]``.
+        vertices inside a query are harmless: ``[v, v]`` spans one
+        position and answers like the singleton ``[v]``.
         """
         if not isinstance(queries, list):
             queries = list(queries)
@@ -291,40 +407,11 @@ class MSTStar:  # deep-frozen
             raise VertexNotFoundError(int(flat[np.argmax(bad)]))
         starts = np.zeros(len(queries), dtype=np.int64)
         np.cumsum(lengths[:-1], out=starts[1:])
-        anchors = flat[starts]
-        us = np.repeat(anchors, lengths)
-        pair_sc = self._pairwise_sc_raw(us, flat)
-        # Self-pairs (the anchor against itself, and any duplicate of
-        # the anchor) would contribute spurious 0s to the per-query min;
-        # mask them to +inf so queries that are *all* anchor duplicates
-        # surface as singletons below.
-        sentinel = np.iinfo(np.int64).max
-        masked = np.where(us == flat, sentinel, pair_sc)
-        per_query = np.minimum.reduceat(masked, starts)
-        singleton = per_query == sentinel
-        if singleton.any():
-            # sc({v}) = weight of the leaf's MST* parent (Section 2's
-            # reduction read off Lemma A.1); isolated vertices answer 0.
-            idx = np.nonzero(singleton)[0]
-            parents_arr = getattr(self, "_parents_arr", None)
-            if parents_arr is not None:
-                par = parents_arr[anchors[idx]]
-                per_query[idx] = np.where(
-                    par >= 0, self._weights_arr[np.maximum(par, 0)], 0
-                )
-            else:
-                # Delta snapshots expose parents/weights as views; the
-                # few singleton anchors go through the scalar objects.
-                parents, weights = self.parents, self.weights
-                per_query[idx] = np.fromiter(
-                    (
-                        weights[parents[v]] if parents[v] >= 0 else 0
-                        for v in anchors[idx].tolist()
-                    ),
-                    dtype=np.int64,
-                    count=len(idx),
-                )
-        return per_query
+        positions = self._position_arr[flat]
+        return self._spans_sc(
+            np.minimum.reduceat(positions, starts),
+            np.maximum.reduceat(positions, starts),
+        )
 
     def smcc_interval(self, q: Sequence[int]) -> Tuple[int, int, int]:
         """The SMCC of ``q`` as ``(sc, start, end)`` in O(|q| + log |V|).
@@ -349,16 +436,19 @@ class MSTStar:  # deep-frozen
         subtrees of the ancestors of the set-LCA of ``q``'s leaves, with
         non-increasing weight toward the root — so the answer is the
         deepest ancestor whose leaf interval reaches ``size_bound``, and
-        ``k`` is its weight.  The returned interval is the *maximal*
+        ``k`` is its weight.  The climb starts at
+        ``component_node(q[0], sc(q))``, the maximal ``sc(q)``-ecc: every
+        node between it and the set-LCA weighs exactly ``sc(q)``, so no
+        candidate is skipped.  The returned interval is the *maximal*
         k-ecc (equal-weight ancestor chains are absorbed via
         :meth:`component_interval`), matching the vertex set Algorithm 5
         enumerates, but found without touching any of its vertices.
 
-        Singleton queries anchor the climb at the leaf's parent, which
-        reproduces Algorithm 5's ``sc({v})`` convention; an isolated
-        vertex with ``size_bound <= 1`` answers ``(0, pos, pos + 1)``.
-        Raises :class:`InfeasibleSizeConstraintError` when the whole
-        component is smaller than ``size_bound``.
+        Singleton queries use ``sc({v})``, which reproduces Algorithm
+        5's convention; an isolated vertex with ``size_bound <= 1``
+        answers ``(0, pos, pos + 1)``.  Raises
+        :class:`InfeasibleSizeConstraintError` when the whole component
+        is smaller than ``size_bound``.
         """
         q = list(dict.fromkeys(q))
         if not q:
@@ -367,32 +457,17 @@ class MSTStar:  # deep-frozen
             if not (0 <= v < self.num_leaves):
                 raise VertexNotFoundError(v)
         v0 = q[0]
-        lca = self._lca
-        if len(q) == 1:
-            node = self.parents[v0]
-            if node < 0:
-                pos = self.leaf_position[v0]
-                if size_bound <= 1:
-                    return 0, pos, pos + 1
-                raise InfeasibleSizeConstraintError(size_bound, 1)
-        else:
-            component = lca._component
-            c0 = component[v0]
-            for v in q[1:]:
-                if component[v] != c0:
-                    raise DisconnectedQueryError(
-                        f"query vertices {v0} and {v} are in different components"
-                    )
-            # Set-LCA via the Euler tour: the LCA of the leaves with the
-            # extreme first-occurrence positions covers the whole set.
-            first = lca._first
-            lo = min(q, key=first.__getitem__)
-            hi = max(q, key=first.__getitem__)
-            node = lca.lca(lo, hi)
-            if node is None:  # unreachable: components matched above
-                raise InternalInvariantError(
-                    "set-LCA missing for a single-component query"
-                )
+        position = self.leaf_position
+        positions = [position[v] for v in q]
+        lo, hi = min(positions), max(positions)
+        sc = self._span_sc(lo, hi)
+        if sc == 0:
+            if len(q) > 1:
+                raise self._disconnected(q)
+            if size_bound <= 1:
+                return 0, lo, lo + 1
+            raise InfeasibleSizeConstraintError(size_bound, 1)
+        node = self.component_node(v0, sc)
         parents = self.parents
         interval_start = self._interval_start
         interval_end = self._interval_end
@@ -423,8 +498,10 @@ class MSTStar:  # deep-frozen
         """``sc(u, v)`` = weight of the MST* LCA of leaves u, v (Lemma A.2)."""
         if u == v:
             raise ValueError("sc of a vertex with itself is undefined")
-        node = self._lca.lca(u, v)
-        if node is None:
+        pu = self.leaf_position[u]
+        pv = self.leaf_position[v]
+        sc = self._span_sc(pu, pv) if pu < pv else self._span_sc(pv, pu)
+        if sc == 0:
             raise DisconnectedQueryError(
                 f"vertices {u} and {v} are in different components"
             )
@@ -432,67 +509,38 @@ class MSTStar:  # deep-frozen
         if stats is not None:
             stats.lca_calls += 1
             stats.vertices_touched += 2
-        return self.weights[node]
+        return sc
 
     def steiner_connectivity(self, q: Sequence[int]) -> int:
-        """SC-OPT (Algorithm 11): ``sc(q) = min_i weight(LCA(v0, v_i))``.
+        """SC-OPT (Algorithm 11): ``sc(q) = min gap[min pos(q) : max pos(q)]``.
 
-        O(|q|) time — each LCA is O(1).  Singleton queries use the
-        Section 2 reduction ``sc({v}) = max_{v'} sc(v, v')``, which in
-        MST* is the weight of the leaf's parent (the first internal node
-        above ``v`` has the maximum weight on ``v``'s root path by
-        Lemma A.1).
+        O(|q|) time: one pass maps the query to leaf positions, then one
+        O(1) range minimum over the gap table — the weight of the
+        set-LCA of ``q``'s leaves.  Singleton queries use the Section 2
+        reduction ``sc({v}) = max_{v'} sc(v, v')``, the weight of the
+        leaf's parent (see :meth:`_span_sc`).  Disconnected queries and
+        isolated singletons raise :class:`DisconnectedQueryError`.
         """
-        q = list(dict.fromkeys(q))
+        q = list(q)
         if not q:
             raise EmptyQueryError("query vertex set is empty")
+        n = self.num_leaves
         for v in q:
-            if not (0 <= v < self.num_leaves):
+            if not (0 <= v < n):
                 raise VertexNotFoundError(v)
-        if len(q) == 1:
-            parent = self.parents[q[0]]
-            if parent < 0:
-                raise DisconnectedQueryError(f"vertex {q[0]} is isolated; sc undefined")
-            return self.weights[parent]
-        # Hot path: inline the Euler-tour RMQ (one LCA per query vertex).
-        # The per-pair constant is what makes SC-MST* O(|q|) in practice.
-        v0 = q[0]
-        lca = self._lca
-        first = lca._first
-        component = lca._component
-        log = lca._log
-        table = lca._table
-        depth = lca._depth
-        euler = lca._euler
-        weights = self.weights
-        f0 = first[v0]
-        c0 = component[v0]
-        best: Optional[int] = None
-        for v in q[1:]:
-            if component[v] != c0:
-                raise DisconnectedQueryError(
-                    f"vertices {v0} and {v} are in different components"
-                )
-            left = f0
-            right = first[v]
-            if left > right:
-                left, right = right, left
-            j = log[right - left + 1]
-            row = table[j]
-            a = row[left]
-            b = row[right - (1 << j) + 1]
-            w = weights[euler[a if depth[a] <= depth[b] else b]]
-            if best is None or w < best:
-                best = w
-        if best is None:  # unreachable: q has >= 2 vertices, one component
-            raise InternalInvariantError(
-                "MST* LCA scan over a multi-vertex query produced no weight"
-            )
-        stats = _obs.get_active_stats()
-        if stats is not None:
-            stats.lca_calls += len(q) - 1
-            stats.vertices_touched += len(q)
-        return best
+        position = self.leaf_position
+        positions = [position[v] for v in q]
+        lo = min(positions)
+        hi = max(positions)
+        sc = self._span_sc(lo, hi)
+        if sc == 0:
+            raise self._disconnected(q)
+        if lo != hi:
+            stats = _obs.get_active_stats()
+            if stats is not None:
+                stats.lca_calls += 1
+                stats.vertices_touched += len(set(q))
+        return sc
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
@@ -560,6 +608,7 @@ def build_mst_star(mst: MSTIndex) -> MSTStar:  # escape: borrowed
     invariant(
         "lemma-a.1-mst-star-structure",
         lambda: mst_star_consistent(star, mst),
-        "MST* violates Lemma A.1/A.2 (shape, weight order, or LCA weights)",
+        "MST* violates Lemma A.1/A.2 (shape, weight order, gap table, "
+        "or LCA weights)",
     )
     return star

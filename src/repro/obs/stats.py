@@ -56,7 +56,8 @@ class QueryStats:
     vertices_touched: int = 0
     #: MST adjacency entries examined (including the pruning probe)
     tree_edges_scanned: int = 0
-    #: O(1) LCA probes into the MST* Euler-tour table
+    #: O(1) range-minimum probes into the MST* gap table (each one
+    #: answers an LCA: one per pair or multi-vertex sc query)
     lca_calls: int = 0
     #: bucket max-queue pops (SMCC_L and the Section 7 extensions)
     queue_pops: int = 0

@@ -2,15 +2,18 @@
 
 A full :func:`~repro.serve.snapshot.capture_snapshot` costs O(|V| log
 |V| + |E| log |E|): it clones the spanning forest, re-sorts every
-adjacency row, rebuilds MST* with its Euler tour and sparse table, and
-re-sorts the edge log.  But the paper's §5.2/§5.3 maintenance confines
-every sc change to the SMCC of the updated edge, and in MST* every
-k-ecc is one subtree covering one contiguous leaf-order interval — so
-after a small batch of updates, only one subtree of the *base* MST* is
-stale.  This module rebuilds exactly that subtree and grafts it over
-the base as a :class:`DeltaStar`, sharing every untouched array (leaf
-intervals, Euler tour, sparse table, jump table, numpy gathers) with
-the previous generation by object identity.
+adjacency row, rebuilds MST* with its gap table, and re-sorts the edge
+log.  But the paper's §5.2/§5.3 maintenance confines every sc change to
+the SMCC of the updated edge, and in MST* every k-ecc is one subtree
+covering one contiguous leaf-order interval — so after a small batch of
+updates, only one subtree of the *base* MST* is stale.  This module rebuilds exactly that subtree and grafts it over
+the base as a :class:`DeltaStar`, sharing every untouched tree array
+(parents, weights, leaf intervals, jump table) with the previous
+generation by object identity.  sc reads one structure on every
+generation: the gap row ``gap[i] = sc(leaf_order[i], leaf_order[i+1])``
+under a sparse table (see :mod:`repro.index.mst_star`).  A delta copies
+the base gap row, splices the patch's gaps in over the region's slice
+``[region_start, region_end - 1)``, and rebuilds its own table.
 
 The graft is sound when the **region** — the minimal base subtree
 whose leaf interval covers every vertex the MST maintenance actually
@@ -28,10 +31,12 @@ Then (contract the region to one super-node: the contracted tree is
 identical before and after, because every mutated tree edge has both
 endpoints inside the region):
 
-- pairs inside the region are answered by the freshly built patch;
+- pairs inside the region are answered by the freshly built patch —
+  in the spliced gap row, their range holds only patch gaps;
 - every other pair's tree path crosses the region boundary only via
   unchanged edges of weight <= ``w_p`` <= every inside weight, so the
-  base MST* answer is still exact;
+  base MST* answer is still exact — their range holds a base boundary
+  gap <= ``w_p``, and no patch gap is lighter than ``w_p``;
 - a k-ecc with ``k > w_p`` containing a region vertex lies inside the
   region (patch interval, offset to the region's slice); with
   ``k <= w_p`` it contains the whole region and is read off the base.
@@ -51,25 +56,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import (
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    cast,
-)
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.analysis.freeze import maybe_deep_freeze
-from repro.errors import (
-    EmptyQueryError,
-    InternalInvariantError,
-    VertexNotFoundError,
-)
+from repro.errors import InternalInvariantError, VertexNotFoundError
 from repro.index.mst import MSTIndex
-from repro.index.mst_star import MSTStar
+from repro.index.mst_star import MSTStar, sparse_min_table
 from repro.serve.snapshot import IndexSnapshot
 from repro.util.disjoint_set import DisjointSetWithRoot
 
@@ -201,104 +195,26 @@ def _build_region_star(
             parents[root_u] = node
             parents[root_v] = node
             ds.union_with_root(lu, lv, node)
-    # MSTStar construction is eager: the patch arrives with its LCA
-    # tables and int64 gather buffers already materialized.
+    # MSTStar construction is eager: the patch arrives with its gap
+    # row already built, ready to splice.
     return MSTStar(num_leaves, parents, star_weights, tree_edge_of_node)
 
 
 # ----------------------------------------------------------------------
 # The patched read structure
 # ----------------------------------------------------------------------
-class _DeltaParents:
-    """List-like parent view: patch node ids are offset past the base.
-
-    Region *leaves* resolve to their patch parent (the base internals
-    of the replaced subtree stay addressable but stale — nothing on the
-    read path reaches them, because every leaf lookup is rerouted); the
-    patch root grafts onto the base parent of the region node.
-    """
-
-    __slots__ = ("_delta",)
-
-    def __init__(self, delta: "DeltaStar") -> None:  # escape: owned
-        self._delta = delta
-
-    def __len__(self) -> int:
-        d = self._delta
-        return len(d.base.parents) + d.patch.num_nodes
-
-    def __getitem__(self, node: int) -> int:
-        d = self._delta
-        offset = len(d.base.parents)
-        if 0 <= node < d.num_leaves:
-            local = d._local_of.get(node)
-            if local is not None:
-                return offset + d.patch.parents[local]
-            return d.base.parents[node]
-        if node >= offset:
-            parent = d.patch.parents[node - offset]
-            if parent < 0:
-                return d.base.parents[d.region_node]
-            return offset + parent
-        return d.base.parents[node]
-
-    def __iter__(self) -> Iterator[int]:
-        return (self[i] for i in range(len(self)))
-
-
-class _DeltaWeights:
-    """List-like weight view over base nodes plus offset patch nodes."""
-
-    __slots__ = ("_delta",)
-
-    def __init__(self, delta: "DeltaStar") -> None:  # escape: owned
-        self._delta = delta
-
-    def __len__(self) -> int:
-        d = self._delta
-        return len(d.base.weights) + d.patch.num_nodes
-
-    def __getitem__(self, node: int) -> int:
-        d = self._delta
-        offset = len(d.base.weights)
-        if node >= offset:
-            return d.patch.weights[node - offset]
-        return d.base.weights[node]
-
-    def __iter__(self) -> Iterator[int]:
-        return (self[i] for i in range(len(self)))
-
-
-class _DeltaEdgeOfNode:
-    """List-like ``tree_edge_of_node`` view (patch ids offset)."""
-
-    __slots__ = ("_delta",)
-
-    def __init__(self, delta: "DeltaStar") -> None:  # escape: owned
-        self._delta = delta
-
-    def __len__(self) -> int:
-        d = self._delta
-        return len(d.base.tree_edge_of_node) + d.patch.num_nodes
-
-    def __getitem__(self, node: int) -> Optional[Edge]:
-        d = self._delta
-        offset = len(d.base.tree_edge_of_node)
-        if node >= offset:
-            return d.patch.tree_edge_of_node[node - offset]
-        return d.base.tree_edge_of_node[node]
-
-    def __iter__(self) -> Iterator[Optional[Edge]]:
-        return (self[i] for i in range(len(self)))
-
-
 class DeltaStar(MSTStar):
     """A base MST* with one subtree replaced by a freshly built patch.
 
-    Implements the full MST* read surface; every untouched structure is
-    the base's by object identity.  Only the patched ``leaf_order`` /
-    ``leaf_position`` and the O(|V|) routing array are new — everything
-    proportional to log-depth tables is shared.
+    sc in every family runs the inherited :class:`MSTStar` code over
+    the delta's own gap table: the base gaps with the patch's spliced
+    in at ``[region_start, region_end - 1)``.  That splice is exact —
+    a pair inside the region reads only patch gaps, and a range
+    crossing the region boundary holds a base gap of weight at most
+    ``w_p``, which no patch gap undercuts.  ``component_node`` /
+    ``component_interval`` route to the patch or the base.  Every other
+    structure is the base's by object identity; only the patched
+    ``leaf_order`` / ``leaf_position`` and the gap table are new.
     """
 
     # The patched leaf order has no single global interval/ancestor
@@ -313,8 +229,12 @@ class DeltaStar(MSTStar):
         region_start: int,
         region_end: int,
         boundary_weight: int,
-        region_leaves: List[int],  # escape: owned
+        region_leaves: Sequence[int],  # escape: owned
+        tables: Optional[Tuple[Sequence[int], Sequence[int], np.ndarray]] = None,  # escape: owned
     ) -> None:
+        """``tables`` = ``(leaf_order, leaf_position, rmq)`` already built
+        (a worker maps them from shared memory); otherwise they are
+        derived from ``base`` and ``patch`` here."""
         # MSTStar.__init__ is deliberately not called: the whole point
         # is to not rebuild the base tables this class shares.
         self.base = base
@@ -327,105 +247,26 @@ class DeltaStar(MSTStar):
         #: local patch leaf id i  <->  global vertex _global_of[i]
         self._global_of = region_leaves
         self._local_of: Dict[int, int] = {
-            v: i for i, v in enumerate(region_leaves)
+            int(v): i for i, v in enumerate(region_leaves)
         }
-        # Patched leaf order: the base order with the region slice
-        # replaced by the patch's DFS order, mapped back to global ids.
-        leaf_order = list(base.leaf_order)
-        leaf_order[region_start:region_end] = [
-            region_leaves[local] for local in patch.leaf_order
-        ]
+        if tables is None:
+            # Patched leaf order: the base order with the region slice
+            # replaced by the patch's DFS order, mapped back to global
+            # ids; the gap row gets the patch's gaps at the same slice.
+            leaf_order = list(base.leaf_order)
+            leaf_order[region_start:region_end] = [
+                region_leaves[local] for local in patch.leaf_order
+            ]
+            leaf_position = list(base.leaf_position)
+            for pos in range(region_start, region_end):
+                leaf_position[leaf_order[pos]] = pos
+            gap = base.gap.copy()
+            gap[region_start : region_end - 1] = patch.gap
+            tables = (leaf_order, leaf_position, sparse_min_table(gap))
+        leaf_order, leaf_position, rmq = tables
         self.leaf_order = leaf_order
-        leaf_position = list(base.leaf_position)
-        for pos in range(region_start, region_end):
-            leaf_position[leaf_order[pos]] = pos
         self.leaf_position = leaf_position
-        self.parents = cast(List[int], _DeltaParents(self))
-        self.weights = cast(List[int], _DeltaWeights(self))
-        self.tree_edge_of_node = cast(
-            List[Optional[Edge]], _DeltaEdgeOfNode(self)
-        )
-        # Routing array for the vectorized batch path: local patch leaf
-        # id, or -1 outside the region.  Built eagerly so the capture
-        # freezes it along with everything else.
-        import numpy as np
-
-        local_map = np.full(self.num_leaves, -1, dtype=np.int64)
-        for v, local in self._local_of.items():
-            local_map[v] = local
-        self._local_map = local_map
-
-    # -- queries -------------------------------------------------------
-    def steiner_connectivity(self, q: Sequence[int]) -> int:
-        q = list(dict.fromkeys(q))
-        if not q:
-            raise EmptyQueryError("query vertex set is empty")
-        for v in q:
-            if not (0 <= v < self.num_leaves):
-                raise VertexNotFoundError(v)
-        local_of = self._local_of
-        if len(q) == 1:
-            local = local_of.get(q[0])
-            if local is None:
-                return self.base.steiner_connectivity(q)
-            parent = self.patch.parents[local]
-            if parent < 0:  # |L| >= 2 and connected: cannot happen
-                raise InternalInvariantError(
-                    "region patch leaf has no parent"
-                )
-            return self.patch.weights[parent]
-        if all(v in local_of for v in q):
-            return self.patch.steiner_connectivity(
-                [local_of[v] for v in q]
-            )
-        if not any(v in local_of for v in q):
-            return self.base.steiner_connectivity(q)
-        # Mixed query: SC-OPT's pairwise decomposition, each pair
-        # routed to the structure that is exact for it.
-        v0 = q[0]
-        best: Optional[int] = None
-        for v in q[1:]:
-            w = self.sc_pair(v0, v)
-            if best is None or w < best:
-                best = w
-        if best is None:  # unreachable: |q| >= 2
-            raise InternalInvariantError(
-                "delta-star scan over a multi-vertex query gave no weight"
-            )
-        return best
-
-    def sc_pair(self, u: int, v: int) -> int:
-        if u == v:
-            raise ValueError("sc of a vertex with itself is undefined")
-        local_u = self._local_of.get(u)
-        local_v = self._local_of.get(v)
-        if local_u is not None and local_v is not None:
-            return self.patch.sc_pair(local_u, local_v)
-        return self.base.sc_pair(u, v)
-
-    def _pairwise_sc_raw(self, us, vs):
-        """Route the raw pair gather: both-in-region pairs go through
-        the patch tables (as local ids), everything else through the
-        base — which is exact for them, because any cross-boundary tree
-        path leaves the contracted region via unchanged edges.  The
-        validating wrappers (``sc_pairs_batch``,
-        ``steiner_connectivity_batch``) are inherited from MSTStar.
-        """
-        import numpy as np
-
-        local_map = self._local_map
-        local_us = local_map[us]
-        local_vs = local_map[vs]
-        both = (local_us >= 0) & (local_vs >= 0)
-        out = np.empty(us.size, dtype=np.int64)
-        if bool(both.any()):
-            out[both] = self.patch._pairwise_sc_raw(
-                local_us[both], local_vs[both]
-            )
-        rest = ~both
-        if bool(rest.any()):
-            out[rest] = self.base._pairwise_sc_raw(us[rest], vs[rest])
-        return out
+        self._install_gaps(rmq, base.vertex_component)
 
     def component_node(self, vertex: int, k: int) -> int:
         if not (0 <= vertex < self.num_leaves):
@@ -450,12 +291,6 @@ class DeltaStar(MSTStar):
         # so the base climb — whose stale inside weights all exceed
         # w_p >= k — lands on the correct unchanged ancestor.
         return self.base.component_interval(vertex, k)
-
-    def _batch_arrays(self):
-        raise InternalInvariantError(
-            "DeltaStar has no merged gather arrays; sc_pairs_batch "
-            "routes to the base/patch tables instead"
-        )
 
     def validate(self) -> None:
         self.base.validate()
@@ -594,13 +429,14 @@ def capture_delta_snapshot(
 def named_buffers(snapshot: IndexSnapshot) -> Dict[str, object]:  # escape: borrowed
     """The named array inventory of a snapshot, for sharing accounting.
 
-    A delta publish shares every ``star.*`` buffer (through its base)
-    with the previous generation by object identity; the MST clone's
-    outer containers and the edge log are per-generation.
+    A delta publish shares the base's ``star.*`` tree buffers with the
+    previous generation by object identity.  ``star.rmq`` is the gap
+    table the generation actually reads: a delta's own spliced table is
+    per-generation, like the MST clone's outer containers and the edge
+    log.
     """
     star = snapshot.star
     base = star.base if isinstance(star, DeltaStar) else star
-    lca = base._lca
     mst = snapshot._mst
     return {
         "star.parents": base.parents,
@@ -611,12 +447,7 @@ def named_buffers(snapshot: IndexSnapshot) -> Dict[str, object]:  # escape: borr
         "star.interval_start": base._interval_start,
         "star.interval_end": base._interval_end,
         "star.jump": base._jump,
-        "lca.first": lca._first,
-        "lca.component": lca._component,
-        "lca.euler": lca._euler,
-        "lca.depth": lca._depth,
-        "lca.table": lca._table,
-        "lca.log": lca._log,
+        "star.rmq": star._rmq,
         "mst.tree_adj": mst.tree_adj,
         "mst.sorted_adj": mst._sorted_adj,
         "mst.parent": mst._parent,

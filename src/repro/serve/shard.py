@@ -10,18 +10,21 @@ processes map them zero-copy:
   named buffers into shared-memory segments and writes one *manifest*
   per generation — a checksummed JSON document naming every segment
   with its dtype and shape.  Segments are **refcounted**: a delta
-  generation re-points its ``star.*`` / ``lca.*`` entries at the base
-  generation's segments by name, so PR 7's copy-on-write sharing
-  survives the process boundary, and a segment is unlinked exactly when
-  the last generation referencing it is retired (on Linux existing
-  worker mappings survive the unlink, so retirement never races a
-  reader — a worker that loses an attach simply re-reads the head and
-  attaches the newer generation);
+  generation re-points its base ``star.*`` and ``patch.*`` entries at
+  the segments of the generations that first exported them, by name,
+  so copy-on-write sharing survives the process boundary, and a
+  segment is unlinked exactly when the last generation referencing it
+  is retired (on Linux existing worker mappings survive the unlink, so
+  retirement never races a reader — a worker that loses an attach
+  simply re-reads the head and attaches the newer generation);
 - :class:`SharedSnapshotView` (worker side) maps a manifest read-only
-  and reconstructs the MST* / Euler-LCA / delta-overlay read structures
-  directly over the shared ndarrays — byte-identical answers to the
-  in-process snapshot for the four served query families (``sc``,
-  ``sc_pairs_batch`` / batched ``sc``, ``smcc``, ``smcc_l``);
+  and puts the MST* / delta read structures directly over the shared
+  ndarrays — every exported star carries its gap table as one ``rmq``
+  buffer (a delta its own spliced one), so a worker answers sc with the
+  same :class:`~repro.index.mst_star.MSTStar` code as the writer, and
+  byte-identically to the in-process snapshot for the four served query
+  families (``sc``, ``sc_pairs_batch`` / batched ``sc``, ``smcc``,
+  ``smcc_l``);
 - :class:`WorkerPool` forks N worker processes, each serving requests
   over a pipe through the existing batch planner
   (:func:`~repro.serve.planner.plan_batch` /
@@ -84,17 +87,11 @@ from repro.errors import (
     ServeError,
     WorkerCrashError,
 )
-from repro.index.lca import EulerTourLCA
 from repro.index.mst import MSTIndex
 from repro.index.mst_star import MSTStar
 from repro.obs import runtime as _obs
 from repro.obs.timing import Stopwatch
-from repro.serve.delta import (
-    DeltaStar,
-    _DeltaEdgeOfNode,
-    _DeltaParents,
-    _DeltaWeights,
-)
+from repro.serve.delta import DeltaStar
 from repro.serve.planner import execute_batch, plan_batch
 from repro.serve.serving import Deadline, ServingIndex
 from repro.serve.snapshot import IndexSnapshot
@@ -116,14 +113,15 @@ Edge = Tuple[int, int]
 #: manifest wire format: magic + version + payload length + crc32,
 #: then the JSON payload.  Decoding validates all four before parsing.
 _MANIFEST_MAGIC = b"RSHM"
-_MANIFEST_VERSION = 1
+_MANIFEST_VERSION = 2
 _MANIFEST_HEADER = struct.Struct("<4sHxxII")
 
 #: head segment seqlock layout: [sequence, generation, sequence-mirror]
 _HEAD_DTYPE = np.int64
 _HEAD_SLOTS = 3
 
-#: buffers of one exported MST* (suffix -> snapshot attribute chain)
+#: buffers of one exported MST* (in MSTStar.over_arrays argument order):
+#: the tree, its interval view and its gap table (``rmq``, row 0 = gaps)
 _STAR_SUFFIXES = (
     "parents",
     "weights",
@@ -132,8 +130,16 @@ _STAR_SUFFIXES = (
     "interval_start",
     "interval_end",
     "jump",
+    "rmq",
 )
-_LCA_SUFFIXES = ("first", "component", "euler", "depth", "log", "table2d")
+#: a delta generation's own buffers: its patched leaf order and its
+#: spliced gap table, plus the region's global vertex ids
+_DELTA_BUFFERS = (
+    "delta.leaf_order",
+    "delta.leaf_position",
+    "delta.region_leaves",
+    "delta.rmq",
+)
 
 
 #: serializes the registration-suppression window below against
@@ -266,20 +272,11 @@ def _validate_manifest(doc: Any, source: str) -> None:
         raise ManifestError(source, "manifest segment table is not an object")
     required: Tuple[str, ...] = tuple(
         ["star." + s for s in _STAR_SUFFIXES]
-        + ["lca." + s for s in _LCA_SUFFIXES]
         + ["mst.parent", "mst.parent_weight", "edges"]
     )
     if doc["kind"] == "delta":
-        required += tuple(
-            ["patch." + s for s in _STAR_SUFFIXES]
-            + ["plca." + s for s in _LCA_SUFFIXES]
-            + [
-                "delta.leaf_order",
-                "delta.leaf_position",
-                "delta.local_map",
-                "delta.region_leaves",
-            ]
-        )
+        required += tuple(["patch." + s for s in _STAR_SUFFIXES])
+        required += _DELTA_BUFFERS
         if not isinstance(doc.get("region"), dict):
             raise ManifestError(source, "delta manifest is missing its region")
     for buffer in required:
@@ -358,10 +355,10 @@ class SharedSnapshotStore:
     Owned by the writer process (the one holding the
     :class:`~repro.serve.publisher.SnapshotPublisher`).  Each exported
     generation gets one manifest segment plus one segment per named
-    buffer it does not share; a delta generation re-points every
-    ``star.*`` / ``lca.*`` entry at the base generation's segments by
-    name, so only the patch, the patched leaf order, the routing map,
-    the MST parent arrays, and the edge log are copied.  Segment
+    buffer it does not share; a delta generation re-points every base
+    ``star.*`` entry at the base generation's segments by name, so only
+    the patch, the patched leaf order, the delta's own gap table, the
+    MST parent arrays, and the edge log are copied.  Segment
     refcounts are per-generation references; :meth:`retire` decrements
     them and unlinks on zero — on Linux a worker still mapping the
     segment keeps the memory alive until it detaches, so retirement is
@@ -444,7 +441,7 @@ class SharedSnapshotStore:
 
     # guarded-by: _lock
     def _export_star(
-        self, star: MSTStar, star_prefix: str, lca_prefix: str
+        self, star: MSTStar, star_prefix: str
     ) -> Tuple[Dict[str, str], Dict[str, Any]]:
         """Export one plain MST* (or reuse a prior identical export).
 
@@ -458,21 +455,15 @@ class SharedSnapshotStore:
             name in self._refs for name in cached.values()
         ):
             return dict(cached), {}
-        lca = star._lca
         values: Dict[str, Any] = {
-            star_prefix + "parents": star._parents_arr,
-            star_prefix + "weights": star._weights_arr,
+            star_prefix + "parents": star.parents,
+            star_prefix + "weights": star.weights,
             star_prefix + "leaf_order": star.leaf_order,
             star_prefix + "leaf_position": star.leaf_position,
             star_prefix + "interval_start": star._interval_start,
             star_prefix + "interval_end": star._interval_end,
             star_prefix + "jump": self._jump_matrix(star),
-            lca_prefix + "first": lca.first_arr,
-            lca_prefix + "component": lca.component_arr,
-            lca_prefix + "euler": lca.euler_arr,
-            lca_prefix + "depth": lca.depth_arr,
-            lca_prefix + "log": lca.log_arr,
-            lca_prefix + "table2d": lca.table2d,
+            star_prefix + "rmq": star._rmq,
         }
         names = {buffer: self._export_array(v) for buffer, v in values.items()}
         self._star_exports[key] = dict(names)
@@ -536,12 +527,8 @@ class SharedSnapshotStore:
         region: Optional[Dict[str, int]] = None
         if isinstance(star, DeltaStar):
             kind = "delta"
-            base_names, base_values = self._export_star(
-                star.base, "star.", "lca."
-            )
-            patch_names, patch_values = self._export_star(
-                star.patch, "patch.", "plca."
-            )
+            base_names, base_values = self._export_star(star.base, "star.")
+            patch_names, patch_values = self._export_star(star.patch, "patch.")
             names = dict(base_names)
             names.update(patch_names)
             shapes.update(base_values)
@@ -549,8 +536,8 @@ class SharedSnapshotStore:
             delta_values: Dict[str, Any] = {
                 "delta.leaf_order": star.leaf_order,
                 "delta.leaf_position": star.leaf_position,
-                "delta.local_map": star._local_map,
                 "delta.region_leaves": star._global_of,
+                "delta.rmq": star._rmq,
             }
             for buffer, value in delta_values.items():
                 names[buffer] = self._export_array(value)
@@ -562,7 +549,7 @@ class SharedSnapshotStore:
                 "boundary_weight": int(star.boundary_weight),
             }
         else:
-            names, shapes = self._export_star(star, "star.", "lca.")
+            names, shapes = self._export_star(star, "star.")
         mst = snapshot._mst
         per_gen: Dict[str, Any] = {
             "mst.parent": mst._parent,
@@ -744,84 +731,32 @@ class SharedSnapshotStore:
 # ----------------------------------------------------------------------
 # Worker side: the view
 # ----------------------------------------------------------------------
-def _build_star_view(
-    arrays: Dict[str, np.ndarray], star_prefix: str, lca_prefix: str
-) -> MSTStar:
-    """Reconstruct an MST* read structure over shared ndarrays.
-
-    Every scalar hot path of :class:`MSTStar` / :class:`EulerTourLCA`
-    indexes its tables with plain ``[i]`` — list and int64-ndarray
-    indexing are interchangeable there — and the batch kernels want the
-    ndarrays anyway, so one set of shared buffers backs both paths.
-    ``tree_edge_of_node`` is debug metadata with no read path in the
-    served families and is not exported.
-    """
-    lca = EulerTourLCA.__new__(EulerTourLCA)
-    first = arrays[lca_prefix + "first"]
-    lca.n = int(first.shape[0])
-    lca._first = first  # type: ignore[assignment]
-    lca._component = arrays[lca_prefix + "component"]  # type: ignore[assignment]
-    lca._euler = arrays[lca_prefix + "euler"]  # type: ignore[assignment]
-    lca._depth = arrays[lca_prefix + "depth"]  # type: ignore[assignment]
-    lca._log = arrays[lca_prefix + "log"]  # type: ignore[assignment]
-    lca._table = arrays[lca_prefix + "table2d"]  # type: ignore[assignment]
-    lca.first_arr = first
-    lca.component_arr = arrays[lca_prefix + "component"]
-    lca.euler_arr = arrays[lca_prefix + "euler"]
-    lca.depth_arr = arrays[lca_prefix + "depth"]
-    lca.log_arr = arrays[lca_prefix + "log"]
-    lca.table2d = arrays[lca_prefix + "table2d"]
-    star = MSTStar.__new__(MSTStar)
-    star.num_leaves = int(arrays[star_prefix + "leaf_position"].shape[0])
-    star.parents = arrays[star_prefix + "parents"]  # type: ignore[assignment]
-    star.weights = arrays[star_prefix + "weights"]  # type: ignore[assignment]
-    star.tree_edge_of_node = None  # type: ignore[assignment]
-    star._lca = lca
-    star.leaf_order = arrays[star_prefix + "leaf_order"]  # type: ignore[assignment]
-    star.leaf_position = arrays[star_prefix + "leaf_position"]  # type: ignore[assignment]
-    star._interval_start = arrays[star_prefix + "interval_start"]  # type: ignore[assignment]
-    star._interval_end = arrays[star_prefix + "interval_end"]  # type: ignore[assignment]
-    star._jump = arrays[star_prefix + "jump"]  # type: ignore[assignment]
-    star._parents_arr = arrays[star_prefix + "parents"]
-    star._weights_arr = arrays[star_prefix + "weights"]
-    star._np_arrays = (
-        lca.first_arr,
-        lca.component_arr,
-        lca.euler_arr,
-        lca.depth_arr,
-        lca.log_arr,
-        lca.table2d,
-        star._weights_arr,
+def _build_star_view(arrays: Dict[str, np.ndarray], prefix: str) -> MSTStar:
+    """An MST* over one exported star's shared ndarrays (no rebuild)."""
+    return MSTStar.over_arrays(
+        *(arrays[prefix + suffix] for suffix in _STAR_SUFFIXES)
     )
-    return star
 
 
 def _build_delta_view(
     doc: Dict[str, Any], arrays: Dict[str, np.ndarray]
 ) -> DeltaStar:
-    base = _build_star_view(arrays, "star.", "lca.")
-    patch = _build_star_view(arrays, "patch.", "plca.")
+    """A :class:`DeltaStar` over the mapped base, patch and own buffers."""
     region = doc["region"]
-    delta = DeltaStar.__new__(DeltaStar)
-    delta.base = base
-    delta.patch = patch
-    delta.region_node = int(region["node"])
-    delta.region_start = int(region["start"])
-    delta.region_end = int(region["end"])
-    delta.boundary_weight = int(region["boundary_weight"])
-    delta.num_leaves = base.num_leaves
-    region_leaves = arrays["delta.region_leaves"]
-    delta._global_of = region_leaves  # type: ignore[assignment]
-    delta._local_of = {
-        int(v): i for i, v in enumerate(region_leaves.tolist())
-    }
-    delta.leaf_order = arrays["delta.leaf_order"]  # type: ignore[assignment]
-    delta.leaf_position = arrays["delta.leaf_position"]  # type: ignore[assignment]
-    delta.parents = _DeltaParents(delta)  # type: ignore[assignment]
-    delta.weights = _DeltaWeights(delta)  # type: ignore[assignment]
-    delta.tree_edge_of_node = _DeltaEdgeOfNode(delta)  # type: ignore[assignment]
-    delta._local_map = arrays["delta.local_map"]
-    return delta
+    return DeltaStar(
+        _build_star_view(arrays, "star."),
+        _build_star_view(arrays, "patch."),
+        int(region["node"]),
+        int(region["start"]),
+        int(region["end"]),
+        int(region["boundary_weight"]),
+        arrays["delta.region_leaves"],
+        tables=(
+            arrays["delta.leaf_order"],
+            arrays["delta.leaf_position"],
+            arrays["delta.rmq"],
+        ),
+    )
 
 
 # owns: snapshot-view
@@ -860,7 +795,7 @@ class SharedSnapshotView:
             # guarded-by: thread-local
             self.star: MSTStar = _build_delta_view(doc, arrays)
         else:
-            self.star = _build_star_view(arrays, "star.", "lca.")
+            self.star = _build_star_view(arrays, "star.")
         self._mst: Optional[MSTIndex] = None  # guarded-by: thread-local
         self._closed = False  # guarded-by: thread-local
 
@@ -955,16 +890,13 @@ class SharedSnapshotView:
         if self._closed:
             return
         self._closed = True
-        # Release every ndarray over the mapped buffers first: the
-        # segment mmaps refuse to unmap while exported buffers are
-        # alive, and the DeltaStar wrappers form reference cycles that
-        # only the collector breaks.
+        # Release every ndarray over the mapped buffers first: one that
+        # outlived the unmap would point into released memory.  Nothing
+        # on the view holds them in a reference cycle, so dropping the
+        # references frees them at once.
         self.star = None  # type: ignore[assignment]
         self._mst = None
         self._arrays = {}
-        import gc
-
-        gc.collect()
         for shm in self._segments.values():
             try:
                 shm.close()
@@ -1368,9 +1300,7 @@ class ShardGateway:
             v = min(q)
         except ValueError:
             raise EmptyQueryError("query vertex set is empty")
-        star = self.serving.snapshot().star
-        base = star.base if isinstance(star, DeltaStar) else star
-        component = base._lca.component_arr
+        component = self.serving.snapshot().star.vertex_component
         if 0 <= v < component.shape[0]:
             return int(component[v]) % self.pool.size
         return int(v) % self.pool.size

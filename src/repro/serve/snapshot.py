@@ -4,7 +4,7 @@ The mutable half of the system — ``Graph`` / ``ConnectivityGraph`` /
 ``MSTIndex`` under :class:`~repro.index.maintenance.IndexMaintainer` —
 is never exposed to reader threads.  Instead the writer periodically
 *captures* an :class:`IndexSnapshot`: a frozen clone of the maximum
-spanning forest plus a fully built MST* (LCA tables included), stamped
+spanning forest plus a fully built MST* (gap table included), stamped
 with a monotonically increasing generation number.  Publication is a
 single reference assignment, which CPython makes atomic, so a reader
 always sees either the old snapshot or the new one — never a
@@ -169,9 +169,9 @@ def capture_snapshot(
 
     - the MST clone's rooted arrays and sorted adjacency
       (:meth:`MSTIndex._ensure_derived`),
-    - the MST* tree plus its Euler-tour LCA tables and the int64
-      gather arrays behind the batched kernels (both eager since the
-      MST* builds them at construction).
+    - the MST* tree plus its gap row and sparse table, the one read
+      structure behind every sc family (eager: the MST* builds it at
+      construction).
 
     Under ``REPRO_FREEZE=1`` (:mod:`repro.analysis.freeze`) the captured
     object graph is additionally deep-frozen at publish time: ndarrays

@@ -212,6 +212,9 @@ class TestLemmaCheckers:
         assert mst_star_consistent(star, mst)
         star.weights[star.num_leaves] += 1  # corrupt one internal node
         assert not mst_star_consistent(star, mst)
+        star = build_mst_star(mst)
+        star._rmq[1, 0] += 1  # corrupt one sparse-table entry
+        assert not mst_star_consistent(star, mst)
 
     def test_dinic_conservation_positive(self, enabled):
         d = Dinic(4)

@@ -679,8 +679,7 @@ class TestFreezeGating:
         snap = capture_snapshot(conn, mst, generation=0)
         assert type(snap._mst.tree_adj) is list
         assert type(snap.star.leaf_order) is list
-        arrays = snap.star._batch_arrays()
-        assert arrays[0].flags.writeable
+        assert snap.star._rmq.flags.writeable
 
     def test_enabled_capture_freezes_snapshot(self, frozen_on):
         g = Graph(4)
@@ -690,8 +689,7 @@ class TestFreezeGating:
         mst = build_mst(conn)
         snap = capture_snapshot(conn, mst, generation=0)
         assert isinstance(snap._mst.tree_adj, FrozenList)
-        arrays = snap.star._batch_arrays()
-        assert not arrays[0].flags.writeable
+        assert not snap.star._rmq.flags.writeable
         with pytest.raises(FrozenWriteError):
             snap.star.leaf_order.append(99)
         # Queries still work: reads are unaffected, smcc_l goes through

@@ -74,7 +74,8 @@ class TestEmpiricalOptimality:
         assert stats.vertices_touched <= 3 * len(result)
 
     def test_sc_star_is_linear_in_query_size(self, ssca):
-        """Theorem 4.3: sc(q) via MST* is |q|-1 O(1) LCA probes."""
+        """Theorem 4.3: sc(q) via MST* is one O(1) range-minimum probe
+        after an O(|q|) pass over the query's leaf positions."""
         graph, index = ssca
         rng = random.Random(5)
         vertices = list(graph.vertices())
@@ -82,7 +83,7 @@ class TestEmpiricalOptimality:
             q = rng.sample(vertices, size)
             with collect() as stats:
                 index.steiner_connectivity(q)
-            assert stats.lca_calls == size - 1
+            assert stats.lca_calls == 1
             assert stats.vertices_touched == size
             assert stats.tree_edges_scanned == 0  # no tree walk at all
 
@@ -192,7 +193,7 @@ class TestProfileCLI:
         assert kinds == ["sc", "smcc", "smcc_l"]
         sc = doc["queries"][0]
         assert sc["result"] >= 1
-        assert sc["stats"]["lca_calls"] == 2
+        assert sc["stats"]["lca_calls"] == 1
         assert sc["stats"]["query_size"] == 3
         smcc = doc["queries"][1]
         assert smcc["stats"]["kind"] == "smcc"

@@ -11,6 +11,11 @@ propagation.
 
 from __future__ import annotations
 
+import gc
+import json
+import weakref
+import zlib
+
 import numpy as np
 import pytest
 from conftest import random_connected_graph
@@ -31,7 +36,8 @@ from repro.serve import (
 from repro.serve.shard import (
     _HEAD_DTYPE,
     _HEAD_SLOTS,
-    _LCA_SUFFIXES,
+    _MANIFEST_HEADER,
+    _MANIFEST_MAGIC,
     _STAR_SUFFIXES,
     _attach_segment,
     _decode_manifest,
@@ -60,7 +66,6 @@ def _minimal_full_doc():
     """The smallest manifest the validator accepts (kind=full)."""
     buffers = (
         ["star." + s for s in _STAR_SUFFIXES]
-        + ["lca." + s for s in _LCA_SUFFIXES]
         + ["mst.parent", "mst.parent_weight", "edges"]
     )
     return {
@@ -110,6 +115,30 @@ class TestManifestCodec:
     def test_short_segment_rejected(self):
         with pytest.raises(ManifestError, match="shorter than its header"):
             _decode_manifest(b"RS", "t")
+
+    def test_version_one_manifest_rejected(self):
+        # A well-formed manifest of the Euler-tour layout: version 1,
+        # lca.* buffers, no star.rmq.  Workers must refuse it outright
+        # rather than map buffers they no longer know how to read.
+        doc = _minimal_full_doc()
+        segments = {
+            name: spec
+            for name, spec in doc["segments"].items()
+            if name != "star.rmq"
+        }
+        for i, suffix in enumerate(
+            ("first", "component", "euler", "depth", "log", "table2d")
+        ):
+            segments["lca." + suffix] = {
+                "segment": f"rshXl{i}", "dtype": "int64", "shape": [7],
+            }
+        doc["segments"] = segments
+        payload = json.dumps(doc, sort_keys=True).encode("utf-8")
+        raw = _MANIFEST_HEADER.pack(
+            _MANIFEST_MAGIC, 1, len(payload), zlib.crc32(payload)
+        ) + payload
+        with pytest.raises(ManifestError, match="unsupported manifest version 1"):
+            _decode_manifest(raw, "t")
 
 
 class TestHeadSeqlock:
@@ -174,7 +203,7 @@ class TestStoreRefcounting:
             assert report.mode == "delta"
             doc1 = read_manifest(store.prefix, 1)
             # Untouched base buffers are re-pointed, not re-copied.
-            for buffer in ("star.parents", "lca.euler", "lca.table2d"):
+            for buffer in ("star.parents", "star.jump", "star.rmq"):
                 assert (
                     doc1["segments"][buffer]["segment"]
                     == doc0["segments"][buffer]["segment"]
@@ -256,11 +285,47 @@ class TestViewLifecycle:
             view = SharedSnapshotView.attach(store.prefix, 0)
             try:
                 with pytest.raises(ValueError):
-                    view.star._parents_arr[0] = -1
+                    view.star.parents[0] = -1
                 for name, arr in view._arrays.items():
                     assert not arr.flags.writeable, name
             finally:
                 view.close()
+
+    def test_delta_view_close_unmaps_every_segment_without_gc(self, serving):
+        """A delta view holds its mapped arrays in no reference cycle.
+
+        With the collector off, close() must still free every ndarray
+        over the mapped buffers before it unmaps them: an array kept
+        alive past the unmap (by a cycle only the collector breaks)
+        would point into released memory.  Every segment must also end
+        up unmapped.
+        """
+        with SharedSnapshotStore() as store:
+            store.publish_snapshot(serving.snapshot())
+            serving.publisher.set_exporter(store.publish_snapshot)
+            serving.apply_updates(inserts=[(1, 6)])
+            report = serving.publish()
+            serving.publisher.set_exporter(None)
+            assert report.mode == "delta"
+            view = SharedSnapshotView.attach(store.prefix, report.generation)
+            assert view.kind == "delta"
+            snap = report.snapshot
+            assert view.sc([1, 6]) == snap.steiner_connectivity([1, 6])
+            assert view.sc_batch([[1, 6], [0]]) == (
+                snap.steiner_connectivity_batch([[1, 6], [0]])
+            )
+            assert view.smcc([1, 6])[1] == snap.smcc([1, 6]).connectivity
+            assert view.smcc_l([1, 6], 3)[1] == snap.smcc_l([1, 6], 3).connectivity
+            mapped = [weakref.ref(arr) for arr in view._arrays.values()]
+            segments = list(view._segments.values())
+            assert mapped and segments
+            gc.disable()
+            try:
+                view.close()
+                assert all(ref() is None for ref in mapped)
+            finally:
+                gc.enable()
+            assert all(shm.buf is None for shm in segments)
 
     def test_view_close_is_idempotent(self, serving):
         with SharedSnapshotStore() as store:
