@@ -14,8 +14,10 @@ freezes the object graph it publishes —
 Attributes annotated ``# frozen-exempt`` in the owning class's source
 (see :func:`repro.analysis.immutability.frozen_exempt_attrs`) are
 skipped: they are mutable scratch state with their own lock discipline
-(the epoch-marking arrays behind ``smcc_l``, serialized by
-``IndexSnapshot._mst_lock``).  Locks themselves are never frozen.
+(e.g. the epoch-marking arrays of the MST-walk queries of
+:class:`~repro.index.mst.MSTIndex`: a frozen object graph holding an
+``MSTIndex`` must serialize those queries behind its own lock).  Locks
+themselves are never frozen.
 
 Zero overhead when disabled: :func:`maybe_deep_freeze` returns its
 argument untouched, and nothing in the serving hot path changes.  The

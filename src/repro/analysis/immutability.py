@@ -30,8 +30,9 @@ comment-only line directly above it)::
   mutate — the lazy-build escape hatch for a table filled on first use.
 - ``frozen-exempt[: reason]`` on an attribute: mutable scratch state
   excluded from the frozen surface (it must carry its own ``guarded-by``
-  discipline — e.g. the epoch-marking arrays serialized by
-  ``IndexSnapshot._mst_lock``).  The runtime freezer
+  discipline — e.g. the epoch-marking arrays of ``MSTIndex``'s walk
+  queries, which a frozen holder must serialize behind its own lock).
+  The runtime freezer
   (:mod:`repro.analysis.freeze`) consults the same annotation via
   :func:`frozen_exempt_attrs`.
 - ``escape: copy | owned | borrowed`` declares aliasing discipline:
@@ -1090,9 +1091,9 @@ def frozen_exempt_attrs(cls: type) -> FrozenSet[str]:
     The runtime freezer (:mod:`repro.analysis.freeze`) skips these when
     deep-freezing a captured object graph — they are mutable scratch
     state with their own locking discipline (e.g. the epoch-marking
-    arrays of :class:`~repro.index.mst.MSTIndex`, serialized by
-    ``IndexSnapshot._mst_lock``).  Returns an empty set when the source
-    is unavailable (frozen executables, REPLs).
+    arrays of :class:`~repro.index.mst.MSTIndex`, which a frozen holder
+    must serialize behind its own lock).  Returns an empty set when the
+    source is unavailable (frozen executables, REPLs).
     """
     try:
         return _EXEMPT_CACHE[cls]

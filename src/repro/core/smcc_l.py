@@ -6,8 +6,9 @@ result size.  The connectivity ``k`` of the answer is fixed at the
 moment the visited set first covers the query and reaches the size
 bound: ``k`` = the minimum weight among the edges popped so far.
 
-When an MST* is on hand the same answer is read off its interval view
-in O(|q| + log |V|) instead — see :meth:`MSTStar.smcc_l_interval`.
+When an MST* is on hand the same answer is read off its gap table in
+O(|q| + log |V|) per climb step instead — see
+:meth:`MSTStar.smcc_l_interval`.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ def smcc_l_opt(
 ) -> Tuple[List[int], int]:
     """Compute the SMCC_L of ``q``: ``(vertices, connectivity)``.
 
-    With an ``mst_star`` the answer comes from the O(|q| + log |V|)
-    ancestor climb of :meth:`MSTStar.smcc_l_interval` — the candidate
-    components are the MST* ancestors of the query's set-LCA, so the
+    With an ``mst_star`` the answer comes from the climb over gap runs
+    of :meth:`MSTStar.smcc_l_interval` — the candidate components are
+    the maximal runs of gaps >= k around the query's leaves, so the
     result is *described* without enumerating it and only the final
-    leaf-order slice is materialized.  Without one (or on a delta
-    snapshot star, which has no global interval view) the prioritized
+    leaf-order slice is materialized.  Without one the prioritized
     search of Algorithm 5 runs on the MST.  Both paths return the same
     vertex set and connectivity; only the vertex order differs (leaf
     order vs discovery order).
@@ -41,7 +41,7 @@ def smcc_l_opt(
     vertices, and :class:`~repro.errors.DisconnectedQueryError` when the
     query spans components.
     """
-    if mst_star is not None and mst_star.has_interval_smcc_l:
+    if mst_star is not None:
         k, start, end = mst_star.smcc_l_interval(q, size_bound)
         return mst_star.leaf_order[start:end], k
     return mst.smcc_l(q, size_bound)

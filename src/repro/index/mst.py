@@ -82,7 +82,7 @@ class MSTIndex:
         self._component: Optional[List[int]] = None
         self._roots: List[int] = []
         # Epoch-based visited marks for O(|T_q|) queries without clearing.
-        # frozen-exempt: epoch scratch, serialized by IndexSnapshot._mst_lock
+        # frozen-exempt: epoch scratch of the MST-walk queries
         self._visit_epoch: List[int] = [0] * num_vertices
         self._epoch = 0
         # Optional mutation tracking for delta publishing: when armed

@@ -29,7 +29,11 @@ the LCA of its leftmost and rightmost leaves:
 ``sc(q) = min gap[min pos(q) : max pos(q)]`` — one range minimum per
 query (the LCA/RMQ equivalence of Gabow–Bentley–Tarjan and
 Bender–Farach-Colton).  A sparse table over the gaps answers each range
-minimum with two reads, in O(|V| log |V|) preprocessing.
+minimum with two reads, in O(|V| log |V|) preprocessing.  The same
+table describes the whole k-ecc hierarchy: a k-ecc is a maximal run of
+gaps >= k (Chang's hierarchy view), so ``smcc_l`` climbs over such runs
+and ``components_at(k)`` splits the leaf order at the gaps below k —
+no query needs the MST itself.
 """
 
 from __future__ import annotations
@@ -88,15 +92,11 @@ class MSTStar:  # deep-frozen
     order and its interval view, the binary-lifting jump table, and the
     gap row with its sparse table — so instances are deeply immutable
     from the moment they exist.  Every sc family (scalar, pairwise,
-    batched, singleton) is answered from the gap table alone, and a
+    batched, singleton), ``smcc_l``, ``components_at`` and
+    ``max_connectivity`` are answered from the gap table alone, and a
     delta snapshot (:class:`~repro.serve.delta.DeltaStar`) runs the same
     code over its own spliced table.
     """
-
-    #: True when :meth:`smcc_l_interval` is available (delta snapshots
-    #: opt out — their patched leaf order has no single global interval
-    #: view, so they keep the Algorithm 5 walk).
-    has_interval_smcc_l = True
 
     def __init__(
         self,
@@ -429,26 +429,29 @@ class MSTStar:  # deep-frozen
     def smcc_l_interval(
         self, q: Sequence[int], size_bound: int
     ) -> Tuple[int, int, int]:
-        """The SMCC_L of ``q`` as ``(k, start, end)`` in O(|q| + log |V|).
+        """The SMCC_L of ``q`` as ``(k, start, end)``, climbing gap runs.
 
-        Interval counterpart of :meth:`MSTIndex.smcc_l` (Algorithm 5):
-        the candidate components containing ``q`` are exactly the
-        subtrees of the ancestors of the set-LCA of ``q``'s leaves, with
-        non-increasing weight toward the root — so the answer is the
-        deepest ancestor whose leaf interval reaches ``size_bound``, and
-        ``k`` is its weight.  The climb starts at
-        ``component_node(q[0], sc(q))``, the maximal ``sc(q)``-ecc: every
-        node between it and the set-LCA weighs exactly ``sc(q)``, so no
-        candidate is skipped.  The returned interval is the *maximal*
-        k-ecc (equal-weight ancestor chains are absorbed via
-        :meth:`component_interval`), matching the vertex set Algorithm 5
-        enumerates, but found without touching any of its vertices.
+        Interval counterpart of :meth:`MSTIndex.smcc_l` (Algorithm 5).
+        A k-ecc is a maximal run of gaps >= k in the leaf order — the
+        interval :meth:`component_interval` finds — so the candidate
+        components containing ``q`` are the runs around its leaves at
+        falling thresholds.  Start at ``k = sc(q)``; while the run holds
+        fewer than ``size_bound`` leaves, lower ``k`` to the larger of
+        its two boundary gaps (the run's MST* parent weight, the rule
+        :meth:`_span_sc` uses for singletons) and take the run at the
+        new ``k``.  Each step strictly lowers ``k`` and strictly grows
+        the run; the run that first reaches ``size_bound`` is the
+        maximal k-ecc, the vertex set Algorithm 5 enumerates, found
+        without touching any of its vertices.  O(|q| + log |V|) per
+        step; only the gap row and the interval view are read, so a
+        delta star (whose spliced gap row is exact and whose
+        ``component_interval`` routes to its patch) runs this unchanged.
 
         Singleton queries use ``sc({v})``, which reproduces Algorithm
         5's convention; an isolated vertex with ``size_bound <= 1``
         answers ``(0, pos, pos + 1)``.  Raises
         :class:`InfeasibleSizeConstraintError` when the whole component
-        is smaller than ``size_bound``.
+        (a run bounded by zero gaps) is smaller than ``size_bound``.
         """
         q = list(dict.fromkeys(q))
         if not q:
@@ -456,38 +459,56 @@ class MSTStar:  # deep-frozen
         for v in q:
             if not (0 <= v < self.num_leaves):
                 raise VertexNotFoundError(v)
-        v0 = q[0]
         position = self.leaf_position
         positions = [position[v] for v in q]
         lo, hi = min(positions), max(positions)
-        sc = self._span_sc(lo, hi)
-        if sc == 0:
+        k = self._span_sc(lo, hi)
+        if k == 0:
             if len(q) > 1:
                 raise self._disconnected(q)
             if size_bound <= 1:
                 return 0, lo, lo + 1
             raise InfeasibleSizeConstraintError(size_bound, 1)
-        node = self.component_node(v0, sc)
-        parents = self.parents
-        interval_start = self._interval_start
-        interval_end = self._interval_end
+        v0 = q[0]
+        start, end = self.component_interval(v0, k)
+        gap = self.gap
         climbed = 0
-        while True:
-            start, end = interval_start[node], interval_end[node]
-            if end - start >= size_bound:
-                k = self.weights[node]
-                stats = _obs.get_active_stats()
-                if stats is not None:
-                    stats.lca_calls += 1 if len(q) > 1 else 0
-                    stats.vertices_touched += len(q) + climbed
-                # Expand across any equal-weight ancestor chain to the
-                # maximal k-ecc (what Algorithm 5's sweep enumerates).
-                return (k,) + self.component_interval(v0, k)
-            parent = parents[node]
-            if parent < 0:
+        while end - start < size_bound:
+            left = gap.item(start - 1) if start > 0 else 0
+            right = gap.item(end - 1) if end - 1 < gap.shape[0] else 0
+            k = left if left > right else right
+            if k == 0:
                 raise InfeasibleSizeConstraintError(size_bound, end - start)
-            node = parent
+            start, end = self.component_interval(v0, k)
             climbed += 1
+        stats = _obs.get_active_stats()
+        if stats is not None:
+            stats.lca_calls += 1 if len(q) > 1 else 0
+            stats.vertices_touched += len(q) + climbed
+        return k, start, end
+
+    def components_at(self, k: int) -> List[List[int]]:
+        """All k-eccs: the leaf order split at every gap below ``max(k, 1)``.
+
+        Every vertex has connectivity >= 0, so ``k = 0`` splits at the
+        zero gaps only and yields the connected components.  Vertices
+        in no size >= 2 component come back as singletons, matching
+        :meth:`MSTIndex.components_at`.  O(|V|).
+        """
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
+        if not self.num_leaves:
+            return []
+        cuts = np.flatnonzero(self.gap < max(k, 1)) + 1
+        bounds = [0, *cuts.tolist(), self.num_leaves]
+        order = self.leaf_order
+        if isinstance(order, np.ndarray):
+            order = order.tolist()
+        return [order[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def max_connectivity(self) -> int:
+        """The largest k with a k-ecc: the largest gap (0 without edges)."""
+        return int(self.gap.max()) if self.gap.shape[0] else 0
 
     # ------------------------------------------------------------------
     @property

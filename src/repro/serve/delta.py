@@ -1,19 +1,20 @@
 """Copy-on-write delta snapshot publishing: region-local MST* patches.
 
 A full :func:`~repro.serve.snapshot.capture_snapshot` costs O(|V| log
-|V| + |E| log |E|): it clones the spanning forest, re-sorts every
-adjacency row, rebuilds MST* with its gap table, and re-sorts the edge
-log.  But the paper's §5.2/§5.3 maintenance confines every sc change to
-the SMCC of the updated edge, and in MST* every k-ecc is one subtree
+|V|): it rebuilds MST* with its gap table from the whole spanning
+forest.  But the paper's §5.2/§5.3 maintenance confines every sc change
+to the SMCC of the updated edge, and in MST* every k-ecc is one subtree
 covering one contiguous leaf-order interval — so after a small batch of
-updates, only one subtree of the *base* MST* is stale.  This module rebuilds exactly that subtree and grafts it over
-the base as a :class:`DeltaStar`, sharing every untouched tree array
-(parents, weights, leaf intervals, jump table) with the previous
-generation by object identity.  sc reads one structure on every
-generation: the gap row ``gap[i] = sc(leaf_order[i], leaf_order[i+1])``
-under a sparse table (see :mod:`repro.index.mst_star`).  A delta copies
-the base gap row, splices the patch's gaps in over the region's slice
-``[region_start, region_end - 1)``, and rebuilds its own table.
+updates, only one subtree of the *base* MST* is stale.  This module
+rebuilds exactly that subtree and grafts it over the base as a
+:class:`DeltaStar`, sharing every untouched tree array (parents,
+weights, leaf intervals, jump table) with the previous generation by
+object identity.  Every query reads one structure on every generation:
+the gap row ``gap[i] = sc(leaf_order[i], leaf_order[i+1])`` under a
+sparse table (see :mod:`repro.index.mst_star`).  A delta copies the
+base gap row, splices the patch's gaps in over the region's slice
+``[region_start, region_end - 1)``, and rebuilds its own table; no MST
+is cloned, since no snapshot read walks one.
 
 The graft is sound when the **region** — the minimal base subtree
 whose leaf interval covers every vertex the MST maintenance actually
@@ -54,14 +55,13 @@ it touched.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.analysis.freeze import maybe_deep_freeze
-from repro.errors import InternalInvariantError, VertexNotFoundError
+from repro.errors import VertexNotFoundError
 from repro.index.mst import MSTIndex
 from repro.index.mst_star import MSTStar, sparse_min_table
 from repro.serve.snapshot import IndexSnapshot
@@ -206,20 +206,18 @@ def _build_region_star(
 class DeltaStar(MSTStar):
     """A base MST* with one subtree replaced by a freshly built patch.
 
-    sc in every family runs the inherited :class:`MSTStar` code over
-    the delta's own gap table: the base gaps with the patch's spliced
-    in at ``[region_start, region_end - 1)``.  That splice is exact —
-    a pair inside the region reads only patch gaps, and a range
-    crossing the region boundary holds a base gap of weight at most
-    ``w_p``, which no patch gap undercuts.  ``component_node`` /
-    ``component_interval`` route to the patch or the base.  Every other
+    sc in every family, ``smcc_l`` and ``components_at`` run the
+    inherited :class:`MSTStar` code over the delta's own gap table: the
+    base gaps with the patch's spliced in at ``[region_start,
+    region_end - 1)``.  That splice is exact — a pair inside the region
+    reads only patch gaps, and a range crossing the region boundary
+    holds a base gap of weight at most ``w_p``, which no patch gap
+    undercuts — so every run of gaps >= k is a k-ecc of this
+    generation.  ``component_node`` / ``component_interval`` (behind
+    ``smcc``) route to the patch or the base.  Every other
     structure is the base's by object identity; only the patched
     ``leaf_order`` / ``leaf_position`` and the gap table are new.
     """
-
-    # The patched leaf order has no single global interval/ancestor
-    # view, so smcc_l keeps the Algorithm 5 walk on delta snapshots.
-    has_interval_smcc_l = False
 
     def __init__(
         self,
@@ -305,68 +303,6 @@ class DeltaStar(MSTStar):
 # ----------------------------------------------------------------------
 # Delta capture
 # ----------------------------------------------------------------------
-def _clone_frozen_mst(
-    live: MSTIndex,  # escape: borrowed
-    base_mst: MSTIndex,  # escape: owned — frozen rows are shared as-is
-    dirty: Set[int],  # escape: borrowed
-) -> MSTIndex:
-    """Copy-on-write clone of the frozen base MST at the live state.
-
-    Untouched adjacency rows (plain or frozen) are shared by identity
-    with the base snapshot's clone; only the ``dirty`` rows are copied
-    from the live tree and re-sorted.  The rooted arrays are rebuilt
-    with one O(|V|) BFS — no per-vertex re-sorting.  ``non_tree`` stays
-    empty: no snapshot read path consults it.  The epoch scratch is
-    fresh per clone, so concurrent ``smcc_l`` on different generations
-    never share marks.
-    """
-    n = live.n
-    clone = MSTIndex(n)
-    tree_adj: List[Dict[int, int]] = list(base_mst.tree_adj)
-    base_sorted = base_mst._sorted_adj
-    if base_sorted is None:  # pre-built at capture time; never None here
-        raise InternalInvariantError(
-            "base snapshot MST is missing its derived read structures"
-        )
-    sorted_adj: List[List[Tuple[int, int]]] = list(base_sorted)
-    for v in dirty:
-        row = dict(live.tree_adj[v])
-        tree_adj[v] = row
-        sorted_adj[v] = sorted(
-            ((w, nbr) for nbr, w in row.items()), reverse=True
-        )
-    clone.tree_adj = tree_adj
-    clone._sorted_adj = sorted_adj
-    # The BFS of MSTIndex._ensure_derived against the patched rows.
-    parent = [-1] * n
-    parent_weight = [0] * n
-    level = [0] * n
-    component = [-1] * n
-    roots: List[int] = []
-    for start in range(n):
-        if component[start] >= 0:
-            continue
-        roots.append(start)
-        comp_id = len(roots) - 1
-        component[start] = comp_id
-        queue = deque((start,))
-        while queue:
-            u = queue.popleft()
-            for v, w in tree_adj[u].items():
-                if component[v] < 0:
-                    component[v] = comp_id
-                    parent[v] = u
-                    parent_weight[v] = w
-                    level[v] = level[u] + 1
-                    queue.append(v)
-    clone._parent = parent
-    clone._parent_weight = parent_weight
-    clone._level = level
-    clone._component = component
-    clone._roots = roots
-    return clone
-
-
 def capture_delta_snapshot(
     base_snapshot: IndexSnapshot,  # escape: owned — shared into the result
     live: MSTIndex,  # escape: borrowed
@@ -390,11 +326,10 @@ def capture_delta_snapshot(
     if live.n != base_star.num_leaves or num_vertices != base_star.num_leaves:
         return None
     if not dirty:
-        # Pure non-tree churn: the tree — hence every sc answer — is
-        # unchanged.  Share the whole base star; only the edge log and
-        # the scratch-carrying MST clone are refreshed.
+        # Pure non-tree churn: the tree — hence every answer — is
+        # unchanged.  Share the whole base star; only the edge log is
+        # refreshed.
         star: MSTStar = base_star
-        clone = _clone_frozen_mst(live, base_snapshot._mst, set())
         region_size = 0
     else:
         max_region = int(region_fraction_limit * live.n)
@@ -411,13 +346,11 @@ def capture_delta_snapshot(
             boundary_weight=plan.boundary_weight,
             region_leaves=plan.leaves,
         )
-        clone = _clone_frozen_mst(live, base_snapshot._mst, dirty)
         region_size = len(plan.leaves)
     snapshot = IndexSnapshot(
         generation=generation,
         num_vertices=num_vertices,
         edges=edges,
-        mst=clone,
         star=star,
     )
     return maybe_deep_freeze(snapshot), region_size
@@ -432,12 +365,11 @@ def named_buffers(snapshot: IndexSnapshot) -> Dict[str, object]:  # escape: borr
     A delta publish shares the base's ``star.*`` tree buffers with the
     previous generation by object identity.  ``star.rmq`` is the gap
     table the generation actually reads: a delta's own spliced table is
-    per-generation, like the MST clone's outer containers and the edge
-    log.
+    per-generation, like the edge log, so a delta with a non-empty
+    region shares 8 of the 10 (9 when it shares the whole base star).
     """
     star = snapshot.star
     base = star.base if isinstance(star, DeltaStar) else star
-    mst = snapshot._mst
     return {
         "star.parents": base.parents,
         "star.weights": base.weights,
@@ -448,12 +380,6 @@ def named_buffers(snapshot: IndexSnapshot) -> Dict[str, object]:  # escape: borr
         "star.interval_end": base._interval_end,
         "star.jump": base._jump,
         "star.rmq": star._rmq,
-        "mst.tree_adj": mst.tree_adj,
-        "mst.sorted_adj": mst._sorted_adj,
-        "mst.parent": mst._parent,
-        "mst.parent_weight": mst._parent_weight,
-        "mst.level": mst._level,
-        "mst.component": mst._component,
         "edges": snapshot.edges,
     }
 

@@ -91,7 +91,10 @@ class SnapshotPublisher:
         #: atomic reference publication at the heart of the design
         # guarded-by: _lock [writes]
         self._snapshot = capture_snapshot(
-            index.conn_graph, index.mst, generation=0
+            index.conn_graph,
+            index.mst,
+            generation=0,
+            edges=tuple(self._edges_list),
         )
         self._base_snapshot = self._snapshot  # guarded-by: _lock
         #: advisory flag; lock-free readers only ever observe it
@@ -303,6 +306,7 @@ class SnapshotPublisher:
                             self._index.conn_graph,
                             self._index.mst,
                             generation=new_generation,
+                            edges=tuple(self._edges_list),
                         )
                         region_size = snapshot.num_vertices
                         # This snapshot is the new delta base; the dirty

@@ -20,11 +20,13 @@ processes map them zero-copy:
 - :class:`SharedSnapshotView` (worker side) maps a manifest read-only
   and puts the MST* / delta read structures directly over the shared
   ndarrays — every exported star carries its gap table as one ``rmq``
-  buffer (a delta its own spliced one), so a worker answers sc with the
-  same :class:`~repro.index.mst_star.MSTStar` code as the writer, and
-  byte-identically to the in-process snapshot for the four served query
-  families (``sc``, ``sc_pairs_batch`` / batched ``sc``, ``smcc``,
-  ``smcc_l``);
+  buffer (a delta its own spliced one), so a worker answers every
+  family with the same :class:`~repro.index.mst_star.MSTStar` code as
+  the writer, and byte-identically to the in-process snapshot for the
+  four served query families (``sc``, ``sc_pairs_batch`` / batched
+  ``sc``, ``smcc``, ``smcc_l``).  Manifests are version 3: the star
+  buffers plus the edge log, with no MST buffers, since no worker read
+  walks the MST;
 - :class:`WorkerPool` forks N worker processes, each serving requests
   over a pipe through the existing batch planner
   (:func:`~repro.serve.planner.plan_batch` /
@@ -63,6 +65,7 @@ import multiprocessing
 import os
 import struct
 import uuid
+import weakref
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -87,7 +90,6 @@ from repro.errors import (
     ServeError,
     WorkerCrashError,
 )
-from repro.index.mst import MSTIndex
 from repro.index.mst_star import MSTStar
 from repro.obs import runtime as _obs
 from repro.obs.timing import Stopwatch
@@ -113,7 +115,7 @@ Edge = Tuple[int, int]
 #: manifest wire format: magic + version + payload length + crc32,
 #: then the JSON payload.  Decoding validates all four before parsing.
 _MANIFEST_MAGIC = b"RSHM"
-_MANIFEST_VERSION = 2
+_MANIFEST_VERSION = 3
 _MANIFEST_HEADER = struct.Struct("<4sHxxII")
 
 #: head segment seqlock layout: [sequence, generation, sequence-mirror]
@@ -271,8 +273,7 @@ def _validate_manifest(doc: Any, source: str) -> None:
     if not isinstance(segments, dict):
         raise ManifestError(source, "manifest segment table is not an object")
     required: Tuple[str, ...] = tuple(
-        ["star." + s for s in _STAR_SUFFIXES]
-        + ["mst.parent", "mst.parent_weight", "edges"]
+        ["star." + s for s in _STAR_SUFFIXES] + ["edges"]
     )
     if doc["kind"] == "delta":
         required += tuple(["patch." + s for s in _STAR_SUFFIXES])
@@ -550,17 +551,11 @@ class SharedSnapshotStore:
             }
         else:
             names, shapes = self._export_star(star, "star.")
-        mst = snapshot._mst
-        per_gen: Dict[str, Any] = {
-            "mst.parent": mst._parent,
-            "mst.parent_weight": mst._parent_weight,
-            "edges": np.asarray(snapshot.edges, dtype=np.int64).reshape(
-                (snapshot.num_edges, 2)
-            ),
-        }
-        for buffer, value in per_gen.items():
-            names[buffer] = self._export_array(value)
-            shapes[buffer] = value
+        edges = np.asarray(snapshot.edges, dtype=np.int64).reshape(
+            (snapshot.num_edges, 2)
+        )
+        names["edges"] = self._export_array(edges)
+        shapes["edges"] = edges
         for buffer, segment in names.items():
             value = shapes.get(buffer)
             if value is None:
@@ -759,6 +754,24 @@ def _build_delta_view(
     )
 
 
+def _segment_bytes(
+    shm: "multiprocessing.shared_memory.SharedMemory",
+) -> np.ndarray:
+    """A byte array over a whole attached segment that owns its mapping.
+
+    Under numpy 2 an ndarray built over ``shm.buf`` holds no buffer
+    export, so ``shm.close()`` unmaps the segment even while such an
+    array is alive, and a later read faults.  Every buffer array of a
+    view is therefore a view of this one array, and the segment closes
+    (unmaps) when the last of them dies — at once when the view drops
+    them, later when a caller still holds one.
+    """
+    raw = np.ndarray((len(shm.buf),), dtype=np.uint8, buffer=shm.buf)
+    raw.flags.writeable = False
+    weakref.finalize(raw, shm.close)
+    return raw
+
+
 # owns: snapshot-view
 class SharedSnapshotView:
     """A worker-side, read-only mapping of one published generation.
@@ -766,15 +779,12 @@ class SharedSnapshotView:
     Mirrors the :class:`~repro.serve.snapshot.IndexSnapshot` query
     surface for the four served families, answering byte-identically:
     the same code paths run over the same numbers, only the buffers
-    live in shared memory.  ``smcc_l`` on delta generations rebuilds a
-    local :class:`MSTIndex` from the exported parent arrays — its
-    Algorithm 5 walk is deterministic given the tree edge *set*
-    (``_sorted_adj`` fully orders each row by ``(weight, neighbor)``),
-    so the visited order matches the writer-side clone exactly.
+    live in shared memory.
 
     Views are confined to one worker process and swapped between
-    requests; they are not thread-safe (the lazy ``smcc_l`` index uses
-    the MST's epoch scratch).
+    requests.  ``close()`` drops the view's arrays; each segment stays
+    mapped until the last array over it dies, so a ``view.star`` kept
+    past ``close()`` still reads valid memory.
     """
 
     def __init__(
@@ -796,34 +806,36 @@ class SharedSnapshotView:
             self.star: MSTStar = _build_delta_view(doc, arrays)
         else:
             self.star = _build_star_view(arrays, "star.")
-        self._mst: Optional[MSTIndex] = None  # guarded-by: thread-local
         self._closed = False  # guarded-by: thread-local
 
     @classmethod
     def attach(cls, prefix: str, generation: int) -> "SharedSnapshotView":
         doc = read_manifest(prefix, generation)
         segments: Dict[str, Any] = {}
+        raws: Dict[str, np.ndarray] = {}
         arrays: Dict[str, np.ndarray] = {}
         try:
             for buffer, spec in doc["segments"].items():
                 name = spec["segment"]
-                shm = segments.get(name)
-                if shm is None:
+                if name not in segments:
                     shm = _attach_segment(name)
                     segments[name] = shm
+                    raws[name] = _segment_bytes(shm)
                 shape = tuple(spec["shape"])
                 try:
-                    arr = np.ndarray(
-                        shape, dtype=np.dtype(spec["dtype"]), buffer=shm.buf
+                    arrays[buffer] = np.ndarray(
+                        shape, dtype=np.dtype(spec["dtype"]), buffer=raws[name]
                     )
                 except (TypeError, ValueError) as exc:
                     raise ManifestError(
                         name,
                         f"buffer {buffer!r} does not fit its segment: {exc}",
                     )
-                arr.flags.writeable = False
-                arrays[buffer] = arr
         except BaseException:
+            # Drop the arrays before closing: no segment may unmap
+            # under a live array (closing twice is a no-op).
+            arrays.clear()
+            raws.clear()
             for shm in segments.values():
                 shm.close()
             raise
@@ -854,54 +866,24 @@ class SharedSnapshotView:
 
     def smcc(self, q: Sequence[int]) -> Tuple[List[int], int]:
         sc, start, end = self.star.smcc_interval(q)
-        vertices = self.star.leaf_order[int(start) : int(end)]
-        if isinstance(vertices, np.ndarray):
-            vertices = vertices.tolist()
-        return list(vertices), int(sc)
+        return self.star.leaf_order[start:end].tolist(), int(sc)
 
     def smcc_l(
         self, q: Sequence[int], size_bound: int
     ) -> Tuple[List[int], int]:
-        star = self.star
-        if star.has_interval_smcc_l:
-            k, start, end = star.smcc_l_interval(q, size_bound)
-            vertices = star.leaf_order[int(start) : int(end)]
-            if isinstance(vertices, np.ndarray):
-                vertices = vertices.tolist()
-            return list(vertices), int(k)
-        vertices, k = self._mst_walk().smcc_l(q, size_bound)
-        return [int(v) for v in vertices], int(k)
-
-    def _mst_walk(self) -> MSTIndex:
-        """Lazily rebuild the MST from the exported parent arrays."""
-        if self._mst is None:
-            parent = self._arrays["mst.parent"]
-            weight = self._arrays["mst.parent_weight"]
-            mst = MSTIndex(self.num_vertices)
-            for v in range(self.num_vertices):
-                p = int(parent[v])
-                if p >= 0:
-                    mst.add_tree_edge(v, p, int(weight[v]))
-            mst._ensure_derived()
-            self._mst = mst
-        return self._mst
+        k, start, end = self.star.smcc_l_interval(q, size_bound)
+        return self.star.leaf_order[start:end].tolist(), int(k)
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        # Release every ndarray over the mapped buffers first: one that
-        # outlived the unmap would point into released memory.  Nothing
-        # on the view holds them in a reference cycle, so dropping the
-        # references frees them at once.
+        # Drop the view's arrays; each segment unmaps when the last
+        # array over it dies (see _segment_bytes).  Nothing on the view
+        # holds them in a reference cycle, so unless a caller still
+        # holds one that happens here, with or without the collector.
         self.star = None  # type: ignore[assignment]
-        self._mst = None
         self._arrays = {}
-        for shm in self._segments.values():
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover - stray external ref
-                pass
         self._segments = {}
 
     def __repr__(self) -> str:
@@ -1222,7 +1204,7 @@ class ShardGateway:
     Routing: every request is assigned a shard by the MST component of
     its smallest query vertex (component-affine placement — queries
     over one component always land on one worker, so its page cache
-    and lazily rebuilt ``smcc_l`` tree stay hot), then dispatched to
+    stays hot), then dispatched to
     ``shard % workers``.  A crashed worker is respawned and the request
     retried on the next sibling; an answer is never fabricated.
 

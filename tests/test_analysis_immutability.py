@@ -7,8 +7,9 @@ Three layers of coverage:
   contract says;
 - freezer unit tests: the read-only proxies and ``deep_freeze``'s
   object-graph walk, including the exemption and disabled paths;
-- mutation meta-tests: surgically removing the defensive MST clone
-  from ``capture_snapshot`` must be rediscovered by BOTH prongs — the
+- mutation meta-tests: surgically replacing the defensive MST* build
+  in ``capture_snapshot`` with the live writer index must be
+  rediscovered by BOTH prongs — the
   static ``frozen-escape`` rule at the exact aliasing line, and the
   ``REPRO_FREEZE=1`` sanitizer at the writer's next in-place write.
 """
@@ -677,7 +678,7 @@ class TestFreezeGating:
         conn = build_connectivity_graph(g)
         mst = build_mst(conn)
         snap = capture_snapshot(conn, mst, generation=0)
-        assert type(snap._mst.tree_adj) is list
+        assert type(snap.star._jump[0]) is list
         assert type(snap.star.leaf_order) is list
         assert snap.star._rmq.flags.writeable
 
@@ -688,12 +689,13 @@ class TestFreezeGating:
         conn = build_connectivity_graph(g)
         mst = build_mst(conn)
         snap = capture_snapshot(conn, mst, generation=0)
-        assert isinstance(snap._mst.tree_adj, FrozenList)
+        assert isinstance(snap.star._jump[0], FrozenList)
         assert not snap.star._rmq.flags.writeable
         with pytest.raises(FrozenWriteError):
             snap.star.leaf_order.append(99)
-        # Queries still work: reads are unaffected, smcc_l goes through
-        # the exempt epoch scratch under the snapshot lock.
+        with pytest.raises(FrozenWriteError):
+            snap.star._jump[0][0] = 99
+        # Queries still work: every family only reads the frozen arrays.
         assert snap.sc_pair(0, 1) >= 1
         assert sorted(snap.smcc_l([0, 1], 2).vertices)
         assert snap.components_at(1)
@@ -737,31 +739,24 @@ class TestFreezeGating:
 # Mutation meta-tests: remove the defensive clone, both prongs must see it
 # ----------------------------------------------------------------------
 def _mutated_snapshot_source():
-    """serve/snapshot.py with the defensive MST clone surgically removed.
+    """serve/snapshot.py with the defensive MST* build surgically removed.
 
+    ``capture_snapshot`` copies the live tree into a fresh MST*
+    (Algorithm 12); the mutant stores the live writer index itself.
     Returns ``(source, aliasing_line)`` where *aliasing_line* is the
-    1-based line of the ``mst=mst`` store that aliases the live writer
+    1-based line of the ``star=mst`` store that aliases the live writer
     index into the frozen snapshot.
     """
     with open(SNAPSHOT_PATH, "r", encoding="utf-8") as handle:
         source = handle.read()
-    clone_start = "    frozen = MSTIndex(mst.n)"
-    clone_end = "    if star is None:"
-    assert clone_start in source and clone_end in source, (
+    defense = "star=build_mst_star(mst),"
+    assert source.count(defense) == 1, (
         "capture_snapshot refactored; update the meta-test surgery"
     )
-    start = source.index(clone_start)
-    end = source.index(clone_end)
-    mutated = source[:start] + source[end:]
-    assert "star = build_mst_star(frozen)" in mutated
-    assert "mst=frozen," in mutated
-    mutated = mutated.replace(
-        "star = build_mst_star(frozen)", "star = build_mst_star(mst)"
-    )
-    mutated = mutated.replace("mst=frozen,", "mst=mst,")
+    mutated = source.replace(defense, "star=mst,")
     lines = mutated.splitlines()
     aliasing_line = next(
-        i for i, text in enumerate(lines, start=1) if "mst=mst," in text
+        i for i, text in enumerate(lines, start=1) if "star=mst," in text
     )
     return mutated, aliasing_line
 
@@ -773,7 +768,7 @@ class TestMutationMetaTests:
         escapes = [f for f in findings if f.rule == "frozen-escape"]
         assert escapes, "frozen-escape missed the removed defensive clone"
         assert [f.line for f in escapes] == [aliasing_line]
-        assert "owned parameter 'mst'" in escapes[0].message
+        assert "owned parameter 'star'" in escapes[0].message
 
     def test_pristine_snapshot_module_is_clean(self):
         with open(SNAPSHOT_PATH, "r", encoding="utf-8") as handle:
@@ -807,6 +802,6 @@ class TestMutationMetaTests:
         conn = build_connectivity_graph(g)
         mst = build_mst(conn)
         snap = capture_snapshot(conn, mst, generation=0)
-        mst.add_tree_edge(0, 3, 1)  # the real clone isolates the writer
+        mst.add_tree_edge(0, 3, 1)  # the real MST* build isolates the writer
         mst.remove_tree_edge(0, 3)
         assert snap.sc_pair(0, 1) >= 1

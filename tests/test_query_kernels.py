@@ -23,8 +23,11 @@ from repro.errors import (
 )
 from repro.graph.generators import clique_chain_graph, gnm_random_graph, ssca_graph
 from repro.graph.graph import Graph
+from repro.index.connectivity_graph import build_connectivity_graph
+from repro.index.mst import build_mst
 from repro.obs.stats import collect
 from repro.serve import ServeConfig, ServingIndex
+from repro.serve.delta import DeltaStar
 
 
 def _two_component_graph(seed: int) -> Graph:
@@ -250,7 +253,7 @@ class TestDeltaStarRouting:
     def test_batches_route_through_patch(self):
         snap = self._delta_snapshot()
         star = snap.star
-        assert star.has_interval_smcc_l is False
+        assert isinstance(star, DeltaStar) and star.region_end > star.region_start
         n = snap.num_vertices
         rng = random.Random(41)
         us, vs = [], []
@@ -270,12 +273,18 @@ class TestDeltaStarRouting:
         for q, g in zip(queries, got_q):
             assert g == star.steiner_connectivity(q)
 
-    def test_smcc_l_takes_locked_walk(self):
+    def test_smcc_l_matches_rebuilt_walk(self):
+        # The delta's gap-run climb against Algorithm 5 on a
+        # from-scratch rebuild of the same generation.
         snap = self._delta_snapshot()
-        result = snap.smcc_l([1, 7], 2)
-        vertices, k = snap._mst.smcc_l([1, 7], 2)
-        assert sorted(result.vertices) == sorted(vertices)
-        assert result.connectivity == k
+        graph = Graph.from_edges(snap.edges, num_vertices=snap.num_vertices)
+        reference = build_mst(build_connectivity_graph(graph))
+        for q in ([1, 7], [1], [0, 12], [3, 9, 14]):
+            for bound in (1, 2, 5, 8, 13, 18):
+                result = snap.smcc_l(q, bound)
+                vertices, k = reference.smcc_l(q, bound)
+                assert sorted(result.vertices) == sorted(vertices), (q, bound)
+                assert result.connectivity == k, (q, bound)
 
 
 class TestBatchPlannerIntegration:

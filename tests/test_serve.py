@@ -65,7 +65,7 @@ class TestIndexSnapshot:
         edges_before = snap.edges
         index.insert_edge(0, 12)
         index.delete_edge(0, 1)
-        # The frozen clone must not see any of it.
+        # The snapshot's MST* (built from copies) must not see any of it.
         assert snap.steiner_connectivity([0, 3, 4]) == before
         assert snap.edges == edges_before
 

@@ -13,6 +13,10 @@ from __future__ import annotations
 
 import gc
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import weakref
 import zlib
 
@@ -64,10 +68,7 @@ def serving():
 
 def _minimal_full_doc():
     """The smallest manifest the validator accepts (kind=full)."""
-    buffers = (
-        ["star." + s for s in _STAR_SUFFIXES]
-        + ["mst.parent", "mst.parent_weight", "edges"]
-    )
+    buffers = ["star." + s for s in _STAR_SUFFIXES] + ["edges"]
     return {
         "generation": 3,
         "kind": "full",
@@ -115,6 +116,22 @@ class TestManifestCodec:
     def test_short_segment_rejected(self):
         with pytest.raises(ManifestError, match="shorter than its header"):
             _decode_manifest(b"RS", "t")
+
+    def test_version_two_manifest_rejected(self):
+        # A well-formed manifest of the previous layout: version 2, with
+        # the mst.parent / mst.parent_weight buffers the Algorithm 5
+        # fallback read.  Workers must refuse it outright.
+        doc = _minimal_full_doc()
+        for i, name in enumerate(("mst.parent", "mst.parent_weight")):
+            doc["segments"][name] = {
+                "segment": f"rshXp{i}", "dtype": "int64", "shape": [7],
+            }
+        payload = json.dumps(doc, sort_keys=True).encode("utf-8")
+        raw = _MANIFEST_HEADER.pack(
+            _MANIFEST_MAGIC, 2, len(payload), zlib.crc32(payload)
+        ) + payload
+        with pytest.raises(ManifestError, match="unsupported manifest version 2"):
+            _decode_manifest(raw, "t")
 
     def test_version_one_manifest_rejected(self):
         # A well-formed manifest of the Euler-tour layout: version 1,
@@ -326,6 +343,57 @@ class TestViewLifecycle:
             finally:
                 gc.enable()
             assert all(shm.buf is None for shm in segments)
+
+    def test_star_kept_past_close_reads_mapped_memory(self):
+        """A ``view.star`` kept past ``close()`` still reads valid memory.
+
+        numpy 2 arrays over ``shm.buf`` hold no buffer export, so a
+        close that unmapped eagerly would leave the kept star reading
+        released memory.  Runs in a subprocess: such a read kills the
+        interpreter (SIGSEGV, exit 139), which must fail this test
+        rather than the whole run.  The segments unmap once the kept
+        arrays die, and with ``REPRO_LEAKTRACK=1`` inherited the tracker
+        must then hold no attached segment.
+        """
+        script = textwrap.dedent(
+            """
+            from repro.analysis import leaktrack
+            from repro.graph.generators import clique_chain_graph
+            from repro.serve import ServingIndex, SharedSnapshotStore
+            from repro.serve import SharedSnapshotView
+
+            serving = ServingIndex.build(clique_chain_graph([5, 4, 6]))
+            snap = serving.snapshot()
+            with SharedSnapshotStore() as store:
+                store.publish_snapshot(snap)
+                view = SharedSnapshotView.attach(store.prefix, 0)
+                segments = list(view._segments.values())
+                star = view.star
+                view.close()
+                assert star.gap.tolist() == snap.star.gap.tolist()
+                assert star.sc_pair(0, 12) == snap.sc_pair(0, 12)
+                # The star keeps its eight buffers mapped; the edge log
+                # had no array left, so its segment unmapped at close.
+                mapped = [shm for shm in segments if shm.buf is not None]
+                assert len(mapped) == len(segments) - 1 == 8
+                del star
+                assert all(shm.buf is None for shm in segments)
+                assert not leaktrack.live(label_prefixes=("attached:",))
+            print("kept-star-ok")
+            """
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, (result.returncode, result.stderr)
+        assert "kept-star-ok" in result.stdout
 
     def test_view_close_is_idempotent(self, serving):
         with SharedSnapshotStore() as store:

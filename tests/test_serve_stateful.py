@@ -163,6 +163,20 @@ def _run_reader(
             return
 
 
+def _check_edge_log(serving: ServingIndex, report) -> None:
+    """The publisher's incremental edge log is the live sorted edge set.
+
+    Full and delta captures both publish ``tuple(_edges_list)`` instead
+    of re-sorting the graph, so after every publish that list — and the
+    snapshot's ``edges`` — must equal ``sorted(graph.edges())``.
+    """
+    publisher = serving.publisher
+    with publisher.lock:
+        live = sorted(publisher.index.graph.edges())
+        assert publisher._edges_list == live
+    assert list(report.snapshot.edges) == live
+
+
 def _run_writer(
     serving: ServingIndex,
     seed: int,
@@ -179,6 +193,7 @@ def _run_writer(
 
     def _publish() -> None:
         report = serving.publish()
+        _check_edge_log(serving, report)
         with gen_lock:
             gen_edges[report.generation] = report.snapshot.edges
             if modes is not None:
@@ -390,16 +405,19 @@ def test_alternating_delta_and_full_publishes_match_rebuild():
             assert report_u.num_applied == 1 and report_u.num_noops == 0
             report = serving.publish()
             modes.append(report.mode)
+            _check_edge_log(serving, report)
             _check_snapshot_against_rebuild(report.snapshot, queries)
         # Structural churn: drop the K5-K4 bridge (disconnects), then
         # restore it.  Both publishes must fall back soundly.
         serving.apply_updates(deletes=[(0, 5)])
         report = serving.publish()
         modes.append(report.mode)
+        _check_edge_log(serving, report)
         _check_snapshot_against_rebuild(report.snapshot, queries)
         serving.apply_updates(inserts=[(0, 5)])
         report = serving.publish()
         modes.append(report.mode)
+        _check_edge_log(serving, report)
         _check_snapshot_against_rebuild(report.snapshot, queries)
         # The caching facade agrees with the current snapshot.
         for q in queries:
@@ -434,12 +452,14 @@ def test_delta_publish_shares_untouched_buffers():
             # The delta overlays a patch star; every base buffer it
             # routes to is the generation-0 object itself, not a copy.
             assert after[name] is before[name], name
-    # sc reads the delta's own spliced gap table.
+    # sc reads the delta's own spliced gap table, and the edge log is
+    # fresh per snapshot; nothing else is per-generation — a snapshot
+    # carries no MST working copy (no read path walks one).
     assert after["star.rmq"] is not before["star.rmq"]
-    # The MST working copy is always fresh per snapshot (its traversal
-    # scratch must never be shared), as is the edge log.
-    assert after["mst.tree_adj"] is not before["mst.tree_adj"]
     assert after["edges"] is not before["edges"]
+    assert sorted(after) == sorted(before)
+    assert not [name for name in after if name.startswith("mst.")]
+    assert report.shared_fraction == 8 / 10
 
 
 def test_delta_publish_under_freezer_stays_read_only():
@@ -474,7 +494,9 @@ def test_delta_publish_under_freezer_stays_read_only():
         with pytest.raises(freeze.FrozenWriteError):
             after["star.parents"][0] = -1
         with pytest.raises(freeze.FrozenWriteError):
-            after["mst.tree_adj"][0][1] = 99
+            after["star.jump"][0][0] = 99
+        with pytest.raises(ValueError, match="read-only"):
+            after["star.rmq"][0, 0] = 99
         _check_snapshot_against_rebuild(
             report.snapshot, ([0, 1], [1, 6], [9, 10, 11], [2, 13])
         )
