@@ -107,13 +107,13 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             ok = False
     if publish["delta"]["mean_shared_fraction"] < 0.5:
-        print("FAIL: delta publishing shared "
+        print("FAIL: the publisher's own publishes shared "
               f"{publish['delta']['mean_shared_fraction']:.2f} of the named "
               "snapshot buffers on the small-region workload (need >= 0.5)",
               file=sys.stderr)
         ok = False
     if not publish["delta_p50_seconds"] < publish["full_p50_seconds"]:
-        print("FAIL: delta publish p50 "
+        print("FAIL: publish p50 "
               f"({publish['delta_p50_seconds']:.4f}s) is not below the "
               f"full-capture p50 ({publish['full_p50_seconds']:.4f}s)",
               file=sys.stderr)

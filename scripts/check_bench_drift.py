@@ -107,7 +107,7 @@ def _invariant_failures(kind: str, baseline, candidate) -> List[str]:
         shared = _get(candidate, ("publish", "delta", "mean_shared_fraction"))
         if not isinstance(shared, (int, float)) or shared < 0.5:
             failures.append(
-                "delta publishing: mean shared-array fraction on the "
+                "publishing: mean shared-array fraction on the "
                 f"small-region workload is {shared!r} (must be >= 0.5)"
             )
         delta_p50 = _get(candidate, ("publish", "delta_p50_seconds"))
@@ -118,7 +118,7 @@ def _invariant_failures(kind: str, baseline, candidate) -> List[str]:
             or not delta_p50 < full_p50
         ):
             failures.append(
-                "delta publishing: p50 publish latency "
+                "publishing: p50 publish latency "
                 f"({delta_p50!r}s) is not below the full-capture p50 "
                 f"({full_p50!r}s) on the small-region workload"
             )

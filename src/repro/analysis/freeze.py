@@ -193,9 +193,9 @@ def deep_freeze(obj: Any, _memo: Optional[Dict[int, Any]] = None) -> Any:
     if isinstance(obj, frozenset):
         return obj
     if isinstance(obj, (FrozenList, FrozenDict, FrozenSetProxy)):
-        # Already frozen by an earlier capture (delta snapshots share
-        # buffers with their base); re-wrapping would break the
-        # same-object sharing guarantee.
+        # Already frozen by an earlier capture (a generation that reuses
+        # the previous MST* shares its buffers); re-wrapping would break
+        # the same-object sharing guarantee.
         return obj
     if _is_lock(obj):
         return obj

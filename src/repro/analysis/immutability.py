@@ -3,13 +3,12 @@
 PR 5's ``guarded-by: immutable-after-publish`` contract only checks
 attribute *rebinding*.  The serving layer's correctness argument (the
 Lemma 4.4 restatement in :mod:`repro.serve.snapshot`) needs more: a
-published snapshot must be **deeply** frozen — ``snapshot.star.parents``
+published snapshot must be **deeply** frozen — ``snapshot.star.gap``
 must never see an in-place write, and no mutable writer structure (the
 live ``MSTIndex`` / ``ConnectivityGraph`` under the maintainer) may be
 aliased into a snapshot field without a defensive copy.  This module
-makes that contract machine-checked, which is the groundwork for
-copy-on-write delta snapshots where consecutive generations *share*
-untouched arrays.
+makes that contract machine-checked, which is what lets consecutive
+generations *share* one MST* by object identity.
 
 Annotation language (trailing comment on the anchor line, or on the
 comment-only line directly above it)::

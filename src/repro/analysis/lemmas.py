@@ -13,10 +13,10 @@ full-structure recomputation:
   ``T_q``, recomputed here by an independent full-BFS method.
 - :func:`is_partition` — the k-ECC engines return a partition of the
   vertex set (Lemma 4.6's precondition for the pruned BFS).
-- :func:`mst_star_consistent` — Lemma A.1/A.2: MST* is a full binary
-  tree with non-increasing root-path weights whose LCA weights equal
-  the tree-edge steiner-connectivities, and whose gap table holds the
-  LCA weight of every pair of adjacent leaves.
+- :func:`mst_star_consistent` — Lemma A.1/A.2: every MST* gap is the
+  MST path minimum between its two leaves, every derived table (sparse
+  table, maximal runs, Cartesian parents, jump rows) matches the gap
+  row, and the tree-edge steiner-connectivities read back exactly.
 - :func:`dinic_flow_conserved` — max-flow ground truth: the residual
   network encodes a feasible flow of the claimed value.
 """
@@ -137,23 +137,19 @@ def is_partition(groups: Sequence[Sequence[int]], num_vertices: int) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Lemmas A.1 / A.2 — MST* structure
+# Lemmas A.1 / A.2 — the MST* gap row and its tables
 # ----------------------------------------------------------------------
 def mst_star_consistent(star: "MSTStar", mst: "MSTIndex") -> bool:
-    """Structural validity plus LCA-weight agreement with the MST.
+    """The MST* tables are consistent with each other and with the MST.
 
-    Runs :meth:`MSTStar.validate` (full binary tree, non-increasing
-    weights toward the root), checks the gap table against the tree
-    (:func:`gap_table_consistent`), and then checks, for every MST tree
-    edge ``(u, v, w)``, that the MST* query answers ``sc(u, v) == w`` —
-    adjacent tree vertices have steiner-connectivity exactly the edge
-    weight, and together these pairs exercise every internal node.
+    Runs :func:`gap_table_violation` against the MST (every gap is the
+    tree-path minimum between its two leaves), then checks that the
+    query surface answers ``sc(u, v) == w`` for every tree edge
+    ``(u, v, w)`` — adjacent tree vertices have steiner-connectivity
+    exactly the edge weight, and together these pairs exercise every
+    internal node of MST*.
     """
-    try:
-        star.validate()
-    except AssertionError:
-        return False
-    if not gap_table_consistent(star):
+    if gap_table_violation(star, mst) is not None:
         return False
     for u, v, w in mst.tree_edges():
         if star.steiner_connectivity([u, v]) != w:
@@ -161,47 +157,173 @@ def mst_star_consistent(star: "MSTStar", mst: "MSTIndex") -> bool:
     return True
 
 
-def gap_table_consistent(star: "MSTStar") -> bool:
-    """The gap row and its sparse table agree with the MST* tree.
+def gap_table_consistent(star: "MSTStar", mst: Optional["MSTIndex"] = None) -> bool:
+    """True when :func:`gap_table_violation` finds nothing."""
+    return gap_table_violation(star, mst) is None
 
-    ``leaf_order`` and ``leaf_position`` are inverse permutations; each
-    ``gap[i]`` is the weight of the LCA of the leaves at positions ``i``
-    and ``i + 1`` (0 when they lie in different trees), found by
-    climbing parent pointers from the left leaf to the first ancestor
-    whose interval holds position ``i + 1`` — O(|V|) in total, since a
-    node is climbed through only from the last leaf of its interval;
-    and every sparse-table row is the pairwise minimum of the row below.
+
+def gap_table_violation(
+    star: "MSTStar", mst: Optional["MSTIndex"] = None
+) -> Optional[str]:
+    """The first broken MST* table property, or None when all hold.
+
+    - ``leaf_order`` and ``leaf_position`` are inverse permutations;
+    - with ``mst``: each ``gap[i]`` is the minimum weight on the tree
+      path between the leaves at positions ``i`` and ``i + 1``, or 0
+      when they lie in different trees (:func:`tree_path_minima`);
+    - every sparse-table row is the pairwise minimum of the row below;
+    - each gap's run is its maximal run of gaps >= itself, recomputed
+      with a monotonic stack rather than the table descent;
+    - each gap's Cartesian parent is strictly lighter and its run
+      strictly contains the child's; zero gaps have none;
+    - every jump row composes the row below with itself, and the last
+      row reaches past the deepest ancestor;
+    - the climb's Python-int copies agree with the arrays.
     """
     n = star.num_leaves
-    order = star.leaf_order
-    position = star.leaf_position
-    if sorted(order) != list(range(n)):
-        return False
+    order = [int(v) for v in star.leaf_order]
+    position = [int(p) for p in star.leaf_position]
+    if sorted(order) != list(range(n)) or len(position) != n:
+        return "leaf_order is not a permutation of the vertices"
     if any(position[v] != i for i, v in enumerate(order)):
-        return False
-    gap = star.gap
-    if gap.shape[0] != max(n - 1, 0):
-        return False
-    parents = star.parents
-    start = star._interval_start
-    end = star._interval_end
-    weights = star.weights
-    for i in range(n - 1):
-        node = order[i]
-        while node >= 0 and not (start[node] <= i + 1 < end[node]):
-            node = parents[node]
-        if int(gap[i]) != (weights[node] if node >= 0 else 0):
-            return False
-    rmq = star._rmq
-    if (rmq[0] != gap).any():
-        return False
+        return "leaf_position is not the inverse of leaf_order"
+    gap = np.asarray(star.gap)
+    m = max(n - 1, 0)
+    if gap.shape != (m,):
+        return f"gap row has shape {gap.shape}, expected ({m},)"
+    if (gap < 0).any():
+        return "negative gap"
+    if mst is not None:
+        pairs = list(zip(order, order[1:]))
+        expected = tree_path_minima(mst, pairs)
+        for i, (got, want) in enumerate(zip(gap.tolist(), expected)):
+            if got != want:
+                return (
+                    f"gap[{i}] = {got}, but the MST path between "
+                    f"{order[i]} and {order[i + 1]} has minimum {want}"
+                )
+    rmq = np.asarray(star._rmq)
+    if rmq.shape[1:] != (m,) or (rmq[0] != gap).any():
+        return "sparse table row 0 is not the gap row"
     for j in range(1, rmq.shape[0]):
-        width = n - 1 - (1 << j) + 1
+        width = m - (1 << j) + 1
         half = 1 << (j - 1)
-        expected = np.minimum(rmq[j - 1, :width], rmq[j - 1, half : half + width])
-        if (rmq[j, :width] != expected).any():
-            return False
-    return True
+        want_row = np.minimum(rmq[j - 1, :width], rmq[j - 1, half : half + width])
+        if (rmq[j, :width] != want_row).any():
+            return f"sparse table row {j} is not a window minimum"
+    runs = np.asarray(star._runs)
+    gaps = gap.tolist()
+    if runs.shape != (2, m):
+        return f"run table has shape {runs.shape}, expected (2, {m})"
+    starts, ends = _maximal_runs(gaps)
+    if runs[0].tolist() != starts or runs[1].tolist() != ends:
+        return "a run is not the maximal run of gaps >= its gap"
+    jump = np.asarray(star._jump_table)
+    if jump.ndim != 2 or jump.shape[1] != m:
+        return "jump table does not span the gap row"
+    parent = jump[0].tolist()
+    for i, p in enumerate(parent):
+        left, right = starts[i] - 1, ends[i] - 1
+        heaviest = max(
+            gaps[left] if left >= 0 else 0, gaps[right] if right < m else 0
+        )
+        if gaps[i] == 0 or heaviest == 0:
+            if p != -1:
+                return f"gap {i} spans a whole component but has a parent"
+            continue
+        if (p != left and p != right) or gaps[p] != heaviest:
+            return f"the Cartesian parent of gap {i} is not its heavier boundary"
+        if not gaps[p] < gaps[i]:
+            return f"Cartesian parent {p} of gap {i} is not strictly lighter"
+        if not (
+            starts[p] <= starts[i]
+            and ends[i] <= ends[p]
+            and ends[p] - starts[p] > ends[i] - starts[i]
+        ):
+            return f"the run of gap {p} does not strictly contain gap {i}'s"
+    for j in range(1, jump.shape[0]):
+        prev = jump[j - 1]
+        want_row = np.where(prev >= 0, prev[np.maximum(prev, 0)], -1)
+        if (jump[j] != want_row).any():
+            return f"jump row {j} is not row {j - 1} composed with itself"
+    last = jump[-1]
+    if (np.where(last >= 0, last[np.maximum(last, 0)], -1) >= 0).any():
+        return "the jump table is too shallow for the hierarchy"
+    if (
+        list(star._levels) != gaps
+        or list(star._run_start) != starts
+        or list(star._run_end) != ends
+        or [list(row) for row in star._jump] != jump[::-1].tolist()
+    ):
+        return "the climb's int tables disagree with the arrays"
+    return None
+
+
+def _maximal_runs(gaps: List[int]) -> Tuple[List[int], List[int]]:
+    """Leaf interval of each gap's maximal run of gaps >= itself.
+
+    Previous/next strictly smaller gap by one monotonic-stack pass per
+    side; the run's leaves run from just after the previous smaller
+    gap to just after the gap before the next smaller one.
+    """
+    m = len(gaps)
+    starts = [0] * m
+    ends = [m + 1] * m
+    stack: List[int] = []
+    for i, g in enumerate(gaps):
+        while stack and gaps[stack[-1]] >= g:
+            stack.pop()
+        starts[i] = stack[-1] + 1 if stack else 0
+        stack.append(i)
+    stack = []
+    for i in range(m - 1, -1, -1):
+        g = gaps[i]
+        while stack and gaps[stack[-1]] >= g:
+            stack.pop()
+        ends[i] = stack[-1] + 1 if stack else m + 1
+        stack.append(i)
+    return starts, ends
+
+
+def tree_path_minima(
+    mst: "MSTIndex", pairs: Sequence[Tuple[int, int]]
+) -> List[int]:
+    """Minimum tree-path weight per vertex pair; 0 across trees.
+
+    Offline: Kruskal over the tree edges in non-increasing weight
+    order, with each pair pending at both endpoints' sets.  A union
+    scans the smaller pending list; a pair whose other endpoint is
+    already in the other set joins at this edge's weight, which is its
+    path minimum.  O((|V| + |pairs|) log |V|), independent of path
+    lengths.
+    """
+    n = mst.n
+    answer = [0] * len(pairs)
+    pending: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(pairs):
+        pending[u].append((i, v))
+        pending[v].append((i, u))
+    ds = DisjointSet(n)
+    for u, v, w in sorted(mst.tree_edges(), key=lambda e: -e[2]):
+        ru, rv = ds.find(u), ds.find(v)
+        if ru == rv:
+            continue
+        if len(pending[ru]) < len(pending[rv]):
+            ru, rv = rv, ru
+        kept = pending[ru]
+        for i, other in pending[rv]:
+            if answer[i]:
+                continue
+            if ds.find(other) == ru:
+                answer[i] = w
+            else:
+                kept.append((i, other))
+        pending[rv] = []
+        ds.union(ru, rv)
+        root = ds.find(ru)
+        if root != ru:
+            pending[root], pending[ru] = kept, []
+    return answer
 
 
 # ----------------------------------------------------------------------

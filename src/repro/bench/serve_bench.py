@@ -36,6 +36,7 @@ from repro.serve import (
     ServeWorkloadSpec,
     ServingIndex,
     ShardWorkloadSpec,
+    capture_snapshot,
     run_serve_workload,
     run_shard_workload,
 )
@@ -106,8 +107,9 @@ def _churn_pairs(graph: Graph, seed: int) -> List[Tuple[int, int]]:
 
     Closing a wedge ``u - v - w`` into a triangle only changes
     steiner-connectivities inside the local component around the wedge,
-    so inserting and removing these edges touches a small MST region —
-    exactly the case delta publishing targets.  (Random far-apart pairs
+    so inserting and removing these edges touches a small MST region,
+    and often no tree edge at all — the case where a publish reuses
+    the previous MST*.  (Random far-apart pairs
     would route through bridges and dirty regions proportional to the
     whole graph.)
     """
@@ -134,13 +136,21 @@ def _churn_pairs(graph: Graph, seed: int) -> List[Tuple[int, int]]:
     return pairs
 
 
-def _measure_publish(
-    graph: Graph, pairs: List[Tuple[int, int]], delta: bool
-) -> Dict[str, Any]:
-    serving = ServingIndex.build(
-        graph.copy(), config=ServeConfig(delta_publish=delta)
-    )
-    latencies: List[float] = []
+def run_publish_bench(graph: Graph, seed: int) -> Dict[str, Any]:
+    """Publish latency on the small-region workload: reuse vs full.
+
+    One write stream, timed two ways at every state it reaches.  The
+    ``delta`` side is the publisher's own publish (which reuses the
+    previous MST* when the spanning forest is unchanged and captures
+    fully otherwise); the ``full`` side times a full
+    :func:`~repro.serve.snapshot.capture_snapshot` of the same state,
+    from the publisher's edge list.
+    """
+    pairs = _churn_pairs(graph, seed)
+    serving = ServingIndex.build(graph.copy())
+    index = serving.publisher.index
+    publish_s: List[float] = []
+    capture_s: List[float] = []
     shared: List[float] = []
     modes: Dict[str, int] = {}
     for u, v in pairs:
@@ -151,26 +161,21 @@ def _measure_publish(
                 serving.apply_updates(deletes=[(u, v)])
             started = monotonic()
             report = serving.publish()
-            latencies.append(monotonic() - started)
+            publish_s.append(monotonic() - started)
             modes[report.mode] = modes.get(report.mode, 0) + 1
             shared.append(report.shared_fraction)
-    return {
-        "publishes": len(latencies),
-        "modes": modes,
-        "p50_seconds": median(latencies),
-        "mean_seconds": sum(latencies) / len(latencies),
-        "mean_shared_fraction": sum(shared) / len(shared),
-    }
-
-
-def run_publish_bench(graph: Graph, seed: int) -> Dict[str, Any]:
-    """Publish latency on the small-region workload: delta vs full.
-
-    Same update stream both times; only ``delta_publish`` differs.
-    """
-    pairs = _churn_pairs(graph, seed)
-    delta = _measure_publish(graph, pairs, delta=True)
-    full = _measure_publish(graph, pairs, delta=False)
+            started = monotonic()
+            capture_snapshot(
+                index.conn_graph,
+                index.mst,
+                generation=report.generation,
+                edges=report.snapshot.edges,
+            )
+            capture_s.append(monotonic() - started)
+    delta = _latency_summary(publish_s, shared, modes)
+    full = _latency_summary(
+        capture_s, [0.0] * len(capture_s), {"full": len(capture_s)}
+    )
     full_p50 = full["p50_seconds"] or 0.0
     delta_p50 = delta["p50_seconds"] or 0.0
     return {
@@ -181,6 +186,18 @@ def run_publish_bench(graph: Graph, seed: int) -> Dict[str, Any]:
         "delta_p50_seconds": delta_p50,
         "full_p50_seconds": full_p50,
         "delta_vs_full_speedup": (full_p50 / delta_p50) if delta_p50 else 0.0,
+    }
+
+
+def _latency_summary(
+    latencies: List[float], shared: List[float], modes: Dict[str, int]
+) -> Dict[str, Any]:
+    return {
+        "publishes": len(latencies),
+        "modes": modes,
+        "p50_seconds": median(latencies),
+        "mean_seconds": sum(latencies) / len(latencies),
+        "mean_shared_fraction": sum(shared) / len(shared),
     }
 
 

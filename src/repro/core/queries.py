@@ -545,7 +545,7 @@ class SMCCIndex:
         if mst.num_tree_edges() + len(mst.non_tree) != self.num_edges:
             raise IndexStateError("tree + NT edges do not cover the graph")
         try:
-            self.mst_star.validate()
+            self.mst_star.validate(self.mst)
         except AssertionError as exc:
             raise IndexStateError(f"MST* invariant violated: {exc}") from exc
         # Sampled semantic check against a fresh exact computation.

@@ -12,10 +12,11 @@ Three serializations useful when debugging or presenting results:
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.index.mst import MSTIndex
 from repro.index.mst_star import MSTStar
+from repro.util.disjoint_set import DisjointSet
 
 
 def mst_to_dot(mst: MSTIndex, name: str = "mst") -> str:
@@ -27,6 +28,33 @@ def mst_to_dot(mst: MSTIndex, name: str = "mst") -> str:
     return "\n".join(lines)
 
 
+def mst_star_merges(star: MSTStar) -> List[Tuple[int, int, int, int]]:
+    """The MST* internal nodes, rebuilt from the gap row.
+
+    Merging the leaf order's clusters across its positive gaps in
+    non-increasing gap order replays Algorithm 12: each merge is one
+    internal node ``(left, right, weight, size)``, where cluster ids
+    ``0 .. n-1`` are the vertices and merge ``r`` creates id ``n + r``.
+    Children therefore always precede their parents.
+    """
+    n = star.num_leaves
+    gaps = [int(g) for g in star.gap]
+    cluster = [int(v) for v in star.leaf_order]
+    size = [1] * n
+    ds = DisjointSet(n)
+    merges: List[Tuple[int, int, int, int]] = []
+    for i in sorted(
+        (i for i, g in enumerate(gaps) if g > 0), key=lambda i: -gaps[i]
+    ):
+        a, b = ds.find(i), ds.find(i + 1)
+        merges.append((cluster[a], cluster[b], gaps[i], size[a] + size[b]))
+        ds.union(a, b)
+        root = ds.find(a)
+        cluster[root] = n + len(merges) - 1
+        size[root] = merges[-1][3]
+    return merges
+
+
 def mst_star_to_dot(star: MSTStar, name: str = "mst_star") -> str:
     """Graphviz DOT for the MST* dendrogram.
 
@@ -34,15 +62,16 @@ def mst_star_to_dot(star: MSTStar, name: str = "mst_star") -> str:
     nodes as circles labeled with their weight (the sc of the two
     subtrees they join).
     """
+    n = star.num_leaves
     lines = [f"graph {name} {{"]
-    for node in range(star.num_nodes):
-        if node < star.num_leaves:
-            lines.append(f'  n{node} [shape=box, label="{node}"];')
-        else:
-            lines.append(f'  n{node} [shape=circle, label="{star.weights[node]}"];')
-    for node, parent in enumerate(star.parents):
-        if parent >= 0:
-            lines.append(f"  n{parent} -- n{node};")
+    for v in range(n):
+        lines.append(f'  n{v} [shape=box, label="{v}"];')
+    merges = mst_star_merges(star)
+    for r, (_, _, weight, _) in enumerate(merges):
+        lines.append(f'  n{n + r} [shape=circle, label="{weight}"];')
+    for r, (left, right, _, _) in enumerate(merges):
+        lines.append(f"  n{n + r} -- n{left};")
+        lines.append(f"  n{n + r} -- n{right};")
     lines.append("}")
     return "\n".join(lines)
 
@@ -121,9 +150,10 @@ def to_scipy_linkage(star: MSTStar):
     """The MST* dendrogram as a SciPy hierarchical-clustering linkage.
 
     MST* *is* a single-linkage-style dendrogram over steiner-
-    connectivity: each internal node merges two clusters at "distance"
-    ``max_sc + 1 - sc``, which is non-decreasing toward the root
-    (Lemma A.1), exactly as ``scipy.cluster.hierarchy`` requires.  The
+    connectivity: each internal node (:func:`mst_star_merges`) merges
+    two clusters at "distance" ``max_sc + 1 - sc``, which is
+    non-decreasing toward the root (Lemma A.1), exactly as
+    ``scipy.cluster.hierarchy`` requires.  The
     returned ``(n-1) x 4`` float array plugs directly into
     ``scipy.cluster.hierarchy.dendrogram`` / ``fcluster``; cutting the
     dendrogram at distance ``max_sc + 1 - k`` yields the k-edge
@@ -135,26 +165,13 @@ def to_scipy_linkage(star: MSTStar):
     import numpy as np
 
     n = star.num_leaves
-    internal = star.num_nodes - n
-    if internal != n - 1:
+    merges = mst_star_merges(star)
+    if len(merges) != n - 1:
         raise ValueError(
             "scipy linkage needs a connected graph (spanning tree, not forest)"
         )
-    max_w = max((star.weights[node] for node in range(n, star.num_nodes)), default=0)
-    children: List[List[int]] = [[] for _ in range(star.num_nodes)]
-    for node, parent in enumerate(star.parents):
-        if parent >= 0:
-            children[parent].append(node)
-    linkage = np.zeros((internal, 4), dtype=np.float64)
-    counts = [1] * star.num_nodes
-    # Internal ids n .. 2n-2 were assigned in weight-descending creation
-    # order, so children always precede parents — valid linkage order.
-    for node in range(n, star.num_nodes):
-        left, right = children[node]
-        counts[node] = counts[left] + counts[right]
-        row = node - n
-        linkage[row, 0] = left
-        linkage[row, 1] = right
-        linkage[row, 2] = max_w + 1 - star.weights[node]
-        linkage[row, 3] = counts[node]
+    max_w = max((weight for _, _, weight, _ in merges), default=0)
+    linkage = np.zeros((len(merges), 4), dtype=np.float64)
+    for row, (left, right, weight, size) in enumerate(merges):
+        linkage[row] = (left, right, max_w + 1 - weight, size)
     return linkage

@@ -85,15 +85,9 @@ class MSTIndex:
         # frozen-exempt: epoch scratch of the MST-walk queries
         self._visit_epoch: List[int] = [0] * num_vertices
         self._epoch = 0
-        # Optional mutation tracking for delta publishing: when armed
-        # (begin_dirty_tracking), every tree mutation records its
-        # endpoints so the serving tier can bound the MST region a
-        # batch of updates actually touched.  Maintenance may repair
-        # tree edges outside g_{u,v} (heaviest-crossing replacements),
-        # so the region must come from here, not from the maintainer's
-        # reported component.
-        self._dirty: Optional[Set[int]] = None
-        self._dirty_structure = False
+        #: bumped by every tree mutation; a snapshot publisher reuses the
+        #: previous MST* while the version it was captured at holds
+        self.tree_version = 0
 
     # ------------------------------------------------------------------
     # Tree mutation (used by construction and maintenance)
@@ -102,34 +96,23 @@ class MSTIndex:
         self.tree_adj.append(dict())
         self._visit_epoch.append(0)
         self.n += 1
-        if self._dirty is not None:
-            self._dirty_structure = True
         self.invalidate()
         return self.n - 1
 
     def add_tree_edge(self, u: int, v: int, weight: int) -> None:
         self.tree_adj[u][v] = weight
         self.tree_adj[v][u] = weight
-        if self._dirty is not None:
-            self._dirty.add(u)
-            self._dirty.add(v)
         self.invalidate()
 
     def remove_tree_edge(self, u: int, v: int) -> int:
         weight = self.tree_adj[u].pop(v)
         del self.tree_adj[v][u]
-        if self._dirty is not None:
-            self._dirty.add(u)
-            self._dirty.add(v)
         self.invalidate()
         return weight
 
     def set_tree_weight(self, u: int, v: int, weight: int) -> None:
         self.tree_adj[u][v] = weight
         self.tree_adj[v][u] = weight
-        if self._dirty is not None:
-            self._dirty.add(u)
-            self._dirty.add(v)
         self.invalidate()
 
     def has_tree_edge(self, u: int, v: int) -> bool:
@@ -149,35 +132,12 @@ class MSTIndex:
         return sum(len(nbrs) for nbrs in self.tree_adj) // 2
 
     def invalidate(self) -> None:
-        """Mark derived read structures stale (rebuilt on next query)."""
+        """Mark derived read structures stale after a tree mutation."""
+        self.tree_version += 1
         self._sorted_adj = None
         self._csr = None
         self._rooted_arrs = None
         self._parent = None
-
-    # ------------------------------------------------------------------
-    # Dirty tracking (consumed by delta snapshot publishing)
-    # ------------------------------------------------------------------
-    def begin_dirty_tracking(self) -> None:
-        """Arm endpoint tracking for subsequent tree mutations."""
-        self._dirty = set()
-        self._dirty_structure = False
-
-    @property
-    def dirty_vertices(self) -> Optional[Set[int]]:
-        """Endpoints touched since tracking was armed (None = not armed)."""
-        return self._dirty
-
-    @property
-    def dirty_structure(self) -> bool:
-        """True when the vertex set itself changed since tracking was armed."""
-        return self._dirty_structure
-
-    def clear_dirty(self) -> None:
-        """Reset the tracked set (keeps tracking armed)."""
-        if self._dirty is not None:
-            self._dirty.clear()
-        self._dirty_structure = False
 
     # ------------------------------------------------------------------
     # Derived structures

@@ -1,50 +1,47 @@
 """MST*: the optimization connectivity-preserving index (Appendix A.2).
 
-MST* reorganizes the MST ``T`` into a rooted binary tree ``T*`` with two
-node types: every vertex of ``T`` becomes a *leaf*, and every edge of
-``T`` becomes an *internal node* carrying the edge's weight.  Removing
-the minimum-weight edge of ``T`` splits it in two; that edge's node
-becomes the parent of the (recursively built) MST* of the two halves.
+MST* reorganizes the MST ``T`` into a rooted binary tree ``T*``: every
+vertex of ``T`` becomes a leaf, and every edge of ``T`` an internal
+node carrying the edge's weight, built bottom-up by Algorithm 12
+(Kruskal over the tree edges in non-increasing weight order).  By
+Lemma A.2, ``sc(u, v)`` is the weight of ``LCA(u, v)`` in ``T*``.
 
-Properties (Lemmas A.1 / A.2):
+This module never materializes that tree.  ``T*`` is the Kruskal
+reconstruction tree of the MST, hence the Cartesian tree of its *gap
+row* ``gap[i] = sc(leaf_order[i], leaf_order[i + 1])`` over the leaf
+order (0 between components), and the gap row is all a query reads:
 
-- ``T*`` is a full binary tree and weights are non-increasing along any
-  leaf-to-root path;
-- ``sc(u, v)`` equals the weight of ``LCA(u, v)`` in ``T*``.
-
-Construction is the *bottom-up* Algorithm 12: process tree edges in
-non-increasing weight order, creating an internal node per edge and
-attaching the current MST* roots of its two endpoints as children; the
-modified union-find of :class:`~repro.util.disjoint_set.DisjointSetWithRoot`
-provides the current roots in amortized inverse-Ackermann time, so the
-build is O(|V|) after the O(|V|) bin sort.
-
-Read structure.  ``T*`` is the Kruskal reconstruction tree of the MST,
-hence the Cartesian tree of its *gap row*
-``gap[i] = sc(leaf_order[i], leaf_order[i + 1])`` over the DFS leaf
-order (0 between components).  The LCA of two leaves is the minimum
-internal node between them in that order, so
-``sc(u, v) = min gap[pos u : pos v]``, and the LCA of a leaf *set* is
-the LCA of its leftmost and rightmost leaves:
-``sc(q) = min gap[min pos(q) : max pos(q)]`` — one range minimum per
-query (the LCA/RMQ equivalence of Gabow–Bentley–Tarjan and
-Bender–Farach-Colton).  A sparse table over the gaps answers each range
-minimum with two reads, in O(|V| log |V|) preprocessing.  The same
-table describes the whole k-ecc hierarchy: a k-ecc is a maximal run of
-gaps >= k (Chang's hierarchy view), so ``smcc_l`` climbs over such runs
-and ``components_at(k)`` splits the leaf order at the gaps below k —
-no query needs the MST itself.
+- **Build.**  Algorithm 12's Kruskal pass keeps, per union-find set, a
+  linked list of its leaves.  Each union appends one list to the other
+  and writes the edge's weight as the gap at the junction, so the leaf
+  order and the gap row fall out directly, in O(|V| α(|V|)) after the
+  sort.
+- **sc.**  The LCA of two leaves is the lightest internal node between
+  them in leaf order, so ``sc(u, v) = min gap[pos u : pos v]``, and the
+  LCA of a leaf *set* is the LCA of its leftmost and rightmost leaves:
+  ``sc(q) = min gap[min pos(q) : max pos(q)]`` — one range minimum per
+  query (the LCA/RMQ equivalence of Gabow–Bentley–Tarjan and
+  Bender–Farach-Colton) over a sparse table.
+- **k-eccs.**  A k-ecc is a maximal run of gaps >= k (Chang's hierarchy
+  view).  Each gap's own maximal run, its Cartesian parent (the heavier
+  of the run's two boundary gaps — the MST* parent of the internal
+  node) and a binary-lifting jump table over those parents are derived
+  from the sparse table in a few vectorized numpy passes.
+  ``component_interval`` climbs the jump table to the run of a vertex
+  at level k, ``smcc_l`` climbs Cartesian parents, and
+  ``components_at(k)`` splits the leaf order at the gaps below k.
 """
 
 from __future__ import annotations
 
 from itertools import chain
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.contracts import invariant
-from repro.analysis.lemmas import mst_star_consistent
+from repro.analysis.lemmas import gap_table_violation, mst_star_consistent
 from repro.errors import (
     DisconnectedQueryError,
     EmptyQueryError,
@@ -53,7 +50,6 @@ from repro.errors import (
 )
 from repro.index.mst import MSTIndex
 from repro.obs import runtime as _obs
-from repro.util.disjoint_set import DisjointSetWithRoot
 
 
 def _first_invalid_vertex(us: np.ndarray, vs: np.ndarray, n: int) -> int:
@@ -85,182 +81,179 @@ def sparse_min_table(gap: np.ndarray) -> np.ndarray:
     return table
 
 
-class MSTStar:  # deep-frozen
-    """The MST* tree with an O(1) range-minimum sc read structure.
+def run_table(rmq: np.ndarray) -> np.ndarray:
+    """Each gap's maximal run of gaps >= itself, as leaf intervals.
 
-    Construction eagerly materializes every read structure — the leaf
-    order and its interval view, the binary-lifting jump table, and the
-    gap row with its sparse table — so instances are deeply immutable
-    from the moment they exist.  Every sc family (scalar, pairwise,
-    batched, singleton), ``smcc_l``, ``components_at`` and
-    ``max_connectivity`` are answered from the gap table alone, and a
-    delta snapshot (:class:`~repro.serve.delta.DeltaStar`) runs the same
-    code over its own spliced table.
+    Returns a ``(2, m)`` int64 matrix: column ``i`` is the half-open
+    leaf-order interval ``[start, end)`` whose inner gaps
+    ``gap[start : end - 1]`` are all >= ``gap[i]`` and which no
+    neighbouring gap >= ``gap[i]`` extends — the k-ecc at
+    ``k = gap[i]`` holding leaves ``i`` and ``i + 1``.  Both ends come
+    from one descent of the sparse table per side, vectorized over all
+    positions: from the widest window down, a side grows by ``2^j``
+    whenever that window's minimum is still >= ``gap[i]``.
+    """
+    gap = rmq[0]
+    m = int(gap.shape[0])
+    lo = np.arange(m, dtype=np.int64)
+    hi = lo + 1
+    for j in range(rmq.shape[0] - 1, -1, -1):
+        step = 1 << j
+        row = rmq[j]
+        fits = hi + step <= m
+        grow = fits & (row[np.where(fits, hi, 0)] >= gap)
+        hi += np.where(grow, step, 0)
+        fits = lo >= step
+        grow = fits & (row[np.where(fits, lo - step, 0)] >= gap)
+        lo -= np.where(grow, step, 0)
+    # Gaps [lo, hi) form the run; its leaves are [lo, hi + 1).
+    return np.stack((lo, hi + 1))
+
+
+def cartesian_jump_table(gap: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """Binary lifting over each gap's Cartesian parent, by gap position.
+
+    The parent of gap ``i`` is the heavier of the two gaps bounding its
+    run (``runs[0, i] - 1`` and ``runs[1, i] - 1``; equal boundary gaps
+    share one run, so either serves): the MST* parent of the internal
+    node, strictly lighter than ``gap[i]`` and with a run strictly
+    containing its run.  A zero gap, or a gap whose heavier boundary
+    is 0 or absent, has no parent (-1): its run is a whole component.
+    Row ``j`` holds the ``2^j``-th ancestor; rows stop once every
+    ``2^j``-th ancestor is absent, so there is one row per doubling of
+    the hierarchy's depth counted in distinct levels (equal weights
+    share a run): 3–4 rows on the perfbench graphs.
+    """
+    m = int(gap.shape[0])
+    left = runs[0] - 1
+    right = runs[1] - 1
+    left_gap = np.where(left >= 0, gap[np.maximum(left, 0)], -1)
+    right_gap = np.where(right < m, gap[np.minimum(right, max(m - 1, 0))], -1)
+    parent = np.where(left_gap >= right_gap, left, right)
+    parent[(gap <= 0) | (np.maximum(left_gap, right_gap) <= 0)] = -1
+    rows = [parent]
+    while True:
+        prev = rows[-1]
+        ancestor = np.where(prev >= 0, prev[np.maximum(prev, 0)], -1)
+        if not (ancestor >= 0).any():
+            return np.stack(rows)
+        rows.append(ancestor)
+
+
+def _int_view(arr: np.ndarray) -> memoryview:
+    """A read-only view of an int64 row that indexes to Python ints.
+
+    The climb reads a few scattered entries per query; a memoryview
+    returns each as a Python int without the ndarray scalar boxing,
+    and without copying the (possibly shared-memory) buffer.
+    """
+    return memoryview(np.ascontiguousarray(arr)).toreadonly()
+
+
+class MSTStar:  # deep-frozen
+    """The MST* read structure: a leaf order and its gap row.
+
+    Construction eagerly derives every table from the gap row — the
+    range-minimum sparse table, the run table and the Cartesian jump
+    table — so instances are deeply immutable from the moment they
+    exist.  Every sc family (scalar, pairwise, batched, singleton),
+    ``smcc``, ``smcc_l``, ``components_at`` and ``max_connectivity`` is
+    answered from these tables alone.
     """
 
     def __init__(
         self,
-        num_leaves: int,
-        parents: List[int],  # escape: owned
-        weights: List[int],  # escape: owned
-        tree_edge_of_node: List[Optional[Tuple[int, int]]],  # escape: owned
+        leaf_order: List[int],  # escape: owned
+        gap: np.ndarray,  # escape: owned
     ) -> None:
-        #: number of vertex-type (leaf) nodes == |V| of the base graph
-        self.num_leaves = num_leaves
-        #: parent pointers over all 2|V|-1 (per component) nodes; -1 = root
-        self.parents = parents
-        #: weights[i] for node i: 0 for leaves, edge weight for internal nodes
-        self.weights = weights
-        #: the MST edge each internal node corresponds to (None for leaves)
-        self.tree_edge_of_node = tree_edge_of_node
-        self._build_leaf_intervals()
-        self._build_jump_table()
-        self._install_gaps(sparse_min_table(self._gap_row()))
+        rmq = sparse_min_table(np.asarray(gap, dtype=np.int64))
+        runs = run_table(rmq)
+        position = [0] * len(leaf_order)
+        for i, v in enumerate(leaf_order):
+            position[v] = i
+        self._install(
+            leaf_order, position, rmq, runs, cartesian_jump_table(rmq[0], runs)
+        )
 
     @classmethod
     def over_arrays(
         cls,
-        parents: np.ndarray,  # escape: owned
-        weights: np.ndarray,  # escape: owned
         leaf_order: np.ndarray,  # escape: owned
         leaf_position: np.ndarray,  # escape: owned
-        interval_start: np.ndarray,  # escape: owned
-        interval_end: np.ndarray,  # escape: owned
-        jump: np.ndarray,  # escape: owned
         rmq: np.ndarray,  # escape: owned
+        runs: np.ndarray,  # escape: owned
+        jump: np.ndarray,  # escape: owned
     ) -> "MSTStar":
         """An MST* over already-built int64 buffers (no rebuild).
 
-        The shared-memory worker view maps an exported star this way:
-        every query path indexes these tables with plain ``[i]`` (or
-        ``.item``), so ndarrays stand in for the lists.
-        ``tree_edge_of_node`` is debug metadata with no read path in the
-        served families and stays unset.
+        The shared-memory worker view maps an exported star this way.
         """
         star = cls.__new__(cls)
-        star.num_leaves = int(leaf_position.shape[0])
-        star.parents = parents  # type: ignore[assignment]
-        star.weights = weights  # type: ignore[assignment]
-        star.tree_edge_of_node = None  # type: ignore[assignment]
-        star.leaf_order = leaf_order  # type: ignore[assignment]
-        star.leaf_position = leaf_position  # type: ignore[assignment]
-        star._interval_start = interval_start  # type: ignore[assignment]
-        star._interval_end = interval_end  # type: ignore[assignment]
-        star._jump = jump  # type: ignore[assignment]
-        star._install_gaps(rmq)
+        star._install(leaf_order, leaf_position, rmq, runs, jump)
         return star
 
-    # ------------------------------------------------------------------
-    # Interval view: every MST* subtree (= every k-ecc) is a contiguous
-    # range of the DFS leaf order, so components can be *described* in
-    # O(log |V|) and materialized as an array slice.
-    # ------------------------------------------------------------------
-    def _build_leaf_intervals(self) -> None:
-        total = len(self.parents)
-        children: List[List[int]] = [[] for _ in range(total)]
-        roots: List[int] = []
-        for node, parent in enumerate(self.parents):
-            if parent < 0:
-                roots.append(node)
-            else:
-                children[parent].append(node)
-        #: leaves (graph vertices) in DFS order — components are slices
-        self.leaf_order: List[int] = []
-        #: position of each leaf in leaf_order
-        self.leaf_position: List[int] = [0] * self.num_leaves
-        #: per node: half-open [start, end) into leaf_order
-        self._interval_start = [0] * total
-        self._interval_end = [0] * total
-        for root in roots:
-            stack = [(root, False)]
-            while stack:
-                node, done = stack.pop()
-                if done:
-                    self._interval_end[node] = len(self.leaf_order)
-                    continue
-                self._interval_start[node] = len(self.leaf_order)
-                if node < self.num_leaves:
-                    self.leaf_position[node] = len(self.leaf_order)
-                    self.leaf_order.append(node)
-                    self._interval_end[node] = len(self.leaf_order)
-                else:
-                    stack.append((node, True))
-                    for child in reversed(children[node]):
-                        stack.append((child, False))
-
-    def _gap_row(self) -> np.ndarray:
-        """``gap[i] = sc(leaf_order[i], leaf_order[i + 1])`` in O(|V|).
-
-        Every internal node splits its interval between its two
-        children, and its weight is the gap at that split: the right
-        child starts at ``interval_start``, so the gap just left of it
-        is the node's.  Gaps between components stay 0.
-        """
-        gap = np.zeros(max(self.num_leaves - 1, 0), dtype=np.int64)
-        parents = np.asarray(self.parents, dtype=np.int64)
-        start = np.asarray(self._interval_start, dtype=np.int64)
-        child = np.flatnonzero(parents >= 0)
-        parent = parents[child]
-        right = start[child] > start[parent]
-        gap[start[child[right]] - 1] = np.asarray(self.weights, dtype=np.int64)[
-            parent[right]
-        ]
-        return gap
-
-    def _install_gaps(
+    def _install(
         self,
+        leaf_order: Sequence[int],  # escape: owned
+        leaf_position: Sequence[int],  # escape: owned
         rmq: np.ndarray,  # escape: owned
-        vertex_component: Optional[np.ndarray] = None,  # escape: owned
+        runs: np.ndarray,  # escape: owned
+        jump: np.ndarray,  # escape: owned
     ) -> None:
-        """Install the sc read structure over ``leaf_position``.
-
-        ``vertex_component`` is derived from the gap row unless given
-        (a delta shares its base's: its region lies in one component).
-        """
+        #: number of leaves == |V| of the base graph
+        self.num_leaves = len(leaf_position)
+        #: leaves (graph vertices) in MST* order — k-eccs are slices
+        self.leaf_order = leaf_order
+        #: position of each vertex in leaf_order
+        self.leaf_position = leaf_position
         #: dense sparse table over the gap row (see sparse_min_table)
         self._rmq = rmq
         #: gap[i] = sc(leaf_order[i], leaf_order[i + 1]); 0 across components
         self.gap = rmq[0]
+        #: (2, m) leaf interval of each gap's maximal run (see run_table)
+        self._runs = runs
+        #: Cartesian-parent jump table over gap positions
+        self._jump_table = jump
+        # The climb's views of the gap row, the run bounds and the jump
+        # rows (top row first).
+        self._levels = _int_view(self.gap)
+        self._run_start = _int_view(runs[0])
+        self._run_end = _int_view(runs[1])
+        self._jump = [_int_view(row) for row in jump[::-1]]
         #: int64 gather buffer of leaf_position for the batched kernels
         #: (the buffer itself when leaf_position already is an ndarray)
-        self._position_arr = np.asarray(self.leaf_position, dtype=np.int64)
-        if vertex_component is None:
-            # Components are contiguous runs of the leaf order, numbered
-            # in root order: a leaf's id counts the zero gaps left of it.
-            at_position = np.zeros(self.gap.shape[0] + 1, dtype=np.int64)
-            np.cumsum(self.gap == 0, out=at_position[1:])
-            vertex_component = at_position[self._position_arr]
+        self._position_arr = np.asarray(leaf_position, dtype=np.int64)
+        # Components are contiguous runs of the leaf order, numbered in
+        # leaf order: a leaf's id counts the zero gaps left of it.
+        at_position = np.zeros(self.gap.shape[0] + 1, dtype=np.int64)
+        np.cumsum(self.gap == 0, out=at_position[1:])
         #: per-vertex component id, for routing and error messages
-        self.vertex_component = vertex_component
+        self.vertex_component = at_position[self._position_arr]
 
-    def _build_jump_table(self) -> None:
-        """Binary lifting over parent pointers (for component_node)."""
-        table = [list(self.parents)]
-        while any(p >= 0 for p in table[-1]):
-            prev = table[-1]
-            table.append([prev[p] if p >= 0 else -1 for p in prev])
-            if len(table) > 40:  # pragma: no cover - depth bound guard
-                break
-        self._jump = table
+    # ------------------------------------------------------------------
+    # k-eccs: maximal runs of gaps >= k, found by a climb
+    # ------------------------------------------------------------------
+    def _top_gap(self, position: int, k: int) -> int:
+        """The gap whose run is the k-ecc around ``position``; -1 if none.
 
-    def component_node(self, vertex: int, k: int) -> int:
-        """The MST* node whose subtree is the k-ecc containing ``vertex``.
-
-        The ancestors of a leaf with weight >= k form a prefix of its
-        root path (Lemma A.1); the highest of them spans exactly the
-        k-edge connected component (see ALGORITHMS.md).  O(log |V|).
-        Returns the leaf itself when the vertex is in no k-ecc of
-        size >= 2.
+        Start at the heavier gap next to the leaf (the leaf's MST*
+        parent); if it is below ``k`` the vertex is in no k-ecc of size
+        >= 2.  Otherwise climb Cartesian ancestors while they stay
+        >= ``k`` — they are strictly lighter at every step, so the last
+        one is the lightest gap of the k-run.  O(log depth).
         """
-        if not (0 <= vertex < self.num_leaves):
-            raise VertexNotFoundError(vertex)
-        if k <= 0:
-            raise ValueError(f"k must be >= 1, got {k}")
-        node = vertex
-        weights = self.weights
-        for jump_row in reversed(self._jump):
-            candidate = jump_row[node]
-            if candidate >= 0 and weights[candidate] >= k:
+        levels = self._levels
+        left = levels[position - 1] if position > 0 else 0
+        right = levels[position] if position < len(levels) else 0
+        if left >= right:
+            node, top = position - 1, left
+        else:
+            node, top = position, right
+        if top < k:
+            return -1
+        for row in self._jump:
+            candidate = row[node]
+            if candidate >= 0 and levels[candidate] >= k:
                 node = candidate
         return node
 
@@ -268,10 +261,18 @@ class MSTStar:  # deep-frozen
         """The k-ecc of ``vertex`` as a ``[start, end)`` leaf-order slice.
 
         O(log |V|) regardless of the component size; materialize the
-        vertices with ``self.leaf_order[start:end]``.
+        vertices with ``self.leaf_order[start:end]``.  A vertex in no
+        k-ecc of size >= 2 gets its own one-leaf slice.
         """
-        node = self.component_node(vertex, k)
-        return self._interval_start[node], self._interval_end[node]
+        if not (0 <= vertex < self.num_leaves):
+            raise VertexNotFoundError(vertex)
+        if k <= 0:
+            raise ValueError(f"k must be >= 1, got {k}")
+        position = self.leaf_position[vertex]
+        node = self._top_gap(position, k)
+        if node < 0:
+            return position, position + 1
+        return self._run_start[node], self._run_end[node]
 
     def component_slice(self, vertex: int, k: int) -> List[int]:
         """The k-ecc of ``vertex``, materialized from its interval."""
@@ -287,9 +288,9 @@ class MSTStar:  # deep-frozen
         ``lo < hi``: one range minimum over ``gap[lo:hi]``.  ``lo == hi``
         (a singleton): the Section 2 reduction
         ``sc({v}) = max_{v'} sc(v, v')`` is the weight of the leaf's
-        parent, which is the larger of its two adjacent gaps (the other
-        one belongs to a lighter ancestor, Lemma A.1).  0 means the
-        positions span two components, or the vertex is isolated.
+        MST* parent, which is the larger of its two adjacent gaps (the
+        other one belongs to a lighter ancestor, Lemma A.1).  0 means
+        the positions span two components, or the vertex is isolated.
         """
         if lo == hi:
             gap = self.gap
@@ -432,20 +433,15 @@ class MSTStar:  # deep-frozen
         """The SMCC_L of ``q`` as ``(k, start, end)``, climbing gap runs.
 
         Interval counterpart of :meth:`MSTIndex.smcc_l` (Algorithm 5).
-        A k-ecc is a maximal run of gaps >= k in the leaf order — the
-        interval :meth:`component_interval` finds — so the candidate
-        components containing ``q`` are the runs around its leaves at
-        falling thresholds.  Start at ``k = sc(q)``; while the run holds
-        fewer than ``size_bound`` leaves, lower ``k`` to the larger of
-        its two boundary gaps (the run's MST* parent weight, the rule
-        :meth:`_span_sc` uses for singletons) and take the run at the
-        new ``k``.  Each step strictly lowers ``k`` and strictly grows
-        the run; the run that first reaches ``size_bound`` is the
-        maximal k-ecc, the vertex set Algorithm 5 enumerates, found
-        without touching any of its vertices.  O(|q| + log |V|) per
-        step; only the gap row and the interval view are read, so a
-        delta star (whose spliced gap row is exact and whose
-        ``component_interval`` routes to its patch) runs this unchanged.
+        A k-ecc is a maximal run of gaps >= k in the leaf order, so the
+        candidate components containing ``q`` are the runs around its
+        leaves at falling thresholds.  Start at the run of ``k = sc(q)``;
+        while it holds fewer than ``size_bound`` leaves, step to its
+        Cartesian parent — the heavier of its two boundary gaps, whose
+        run strictly contains it at a strictly lower ``k``.  The run
+        that first reaches ``size_bound`` is the maximal k-ecc, the
+        vertex set Algorithm 5 enumerates, found without touching any
+        of its vertices.  O(|q| + log |V|) plus one step per level.
 
         Singleton queries use ``sc({v})``, which reproduces Algorithm
         5's convention; an isolated vertex with ``size_bound <= 1``
@@ -469,17 +465,17 @@ class MSTStar:  # deep-frozen
             if size_bound <= 1:
                 return 0, lo, lo + 1
             raise InfeasibleSizeConstraintError(size_bound, 1)
-        v0 = q[0]
-        start, end = self.component_interval(v0, k)
-        gap = self.gap
+        node = self._top_gap(position[q[0]], k)
+        run_start, run_end = self._run_start, self._run_end
+        start, end = run_start[node], run_end[node]
+        parent = self._jump[-1]
         climbed = 0
         while end - start < size_bound:
-            left = gap.item(start - 1) if start > 0 else 0
-            right = gap.item(end - 1) if end - 1 < gap.shape[0] else 0
-            k = left if left > right else right
-            if k == 0:
+            node = parent[node]
+            if node < 0:
                 raise InfeasibleSizeConstraintError(size_bound, end - start)
-            start, end = self.component_interval(v0, k)
+            k = self._levels[node]
+            start, end = run_start[node], run_end[node]
             climbed += 1
         stats = _obs.get_active_stats()
         if stats is not None:
@@ -511,10 +507,6 @@ class MSTStar:  # deep-frozen
         return int(self.gap.max()) if self.gap.shape[0] else 0
 
     # ------------------------------------------------------------------
-    @property
-    def num_nodes(self) -> int:
-        return len(self.parents)
-
     def sc_pair(self, u: int, v: int) -> int:
         """``sc(u, v)`` = weight of the MST* LCA of leaves u, v (Lemma A.2)."""
         if u == v:
@@ -539,8 +531,8 @@ class MSTStar:  # deep-frozen
         O(1) range minimum over the gap table — the weight of the
         set-LCA of ``q``'s leaves.  Singleton queries use the Section 2
         reduction ``sc({v}) = max_{v'} sc(v, v')``, the weight of the
-        leaf's parent (see :meth:`_span_sc`).  Disconnected queries and
-        isolated singletons raise :class:`DisconnectedQueryError`.
+        leaf's MST* parent (see :meth:`_span_sc`).  Disconnected queries
+        and isolated singletons raise :class:`DisconnectedQueryError`.
         """
         q = list(q)
         if not q:
@@ -564,72 +556,80 @@ class MSTStar:  # deep-frozen
         return sc
 
     # ------------------------------------------------------------------
-    def validate(self) -> None:
-        """Assert the structural invariants of Lemma A.1 (tests, post-load)."""
-        children: List[List[int]] = [[] for _ in range(self.num_nodes)]
-        for node, parent in enumerate(self.parents):
-            if parent >= 0:
-                children[parent].append(node)
-        for node in range(self.num_nodes):
-            if node < self.num_leaves:
-                if children[node]:
-                    raise AssertionError(f"leaf {node} has children")
-            else:
-                if len(children[node]) != 2:
-                    raise AssertionError(
-                        f"internal node {node} has {len(children[node])} children"
-                    )
-                parent = self.parents[node]
-                if parent >= 0 and self.weights[parent] > self.weights[node]:
-                    raise AssertionError(
-                        "weights must be non-increasing toward the root"
-                    )
+    def validate(self, mst: Optional[MSTIndex] = None) -> None:  # escape: borrowed
+        """Raise AssertionError unless the tables are consistent.
+
+        Runs :func:`~repro.analysis.lemmas.gap_table_violation`: the
+        leaf order is a permutation, every table is derived correctly
+        from the gap row (sparse table, maximal runs, strictly lighter
+        and strictly wider Cartesian parents, jump rows) and, given the
+        MST, every gap is the minimum weight on the tree path between
+        its two leaves (0 across trees).
+        """
+        problem = gap_table_violation(self, mst)
+        if problem is not None:
+            raise AssertionError(problem)
+
+
+def leaf_order_and_gaps(mst: MSTIndex) -> Tuple[List[int], np.ndarray]:  # escape: borrowed
+    """Algorithm 12 with linked leaf lists: ``(leaf_order, gap)``.
+
+    Kruskal over the tree edges in non-increasing weight order.  Each
+    union-find set keeps its leaves as a circular linked list and
+    remembers the list's last leaf (the attached root of Appendix A.2's
+    union-find).  A union splices the second list in after the first
+    one's last leaf — swapping the two last leaves' successors — and
+    records the edge weight as the gap after that leaf.  Walking each
+    list from its head gives the leaf order; a component's last leaf
+    has no gap after it (0).  The union-find (by size, path halving)
+    is inlined: method calls per edge doubled the build.
+    """
+    n = mst.n
+    edges = sorted(mst.tree_edges(), key=itemgetter(2), reverse=True)
+    parent = list(range(n))
+    size = [1] * n
+    last = list(range(n))
+    following = list(range(n))
+    gap_after = [0] * n
+    for u, v, w in edges:
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        last_u, last_v = last[u], last[v]
+        following[last_u], following[last_v] = following[last_v], following[last_u]
+        gap_after[last_u] = w
+        if size[u] < size[v]:
+            u, v = v, u
+        parent[v] = u
+        size[u] += size[v]
+        last[u] = last_v
+    order: List[int] = []
+    for root in range(n):
+        if parent[root] != root:
+            continue
+        head = leaf = following[last[root]]
+        while True:
+            order.append(leaf)
+            leaf = following[leaf]
+            if leaf == head:
+                break
+    gap = np.asarray(gap_after, dtype=np.int64)[np.asarray(order[:-1], dtype=np.int64)]
+    return order, gap
 
 
 def build_mst_star(mst: MSTIndex) -> MSTStar:  # escape: borrowed
-    """Algorithm 12: build MST* bottom-up from the MST in O(|V|).
+    """Algorithm 12: the MST* gap row and its tables from the MST.
 
-    Handles spanning forests: each MST component yields its own MST*
-    tree, and cross-component queries raise
-    :class:`DisconnectedQueryError` at query time.
+    Handles spanning forests: components are consecutive runs of the
+    leaf order separated by zero gaps, and cross-component queries
+    raise :class:`DisconnectedQueryError` at query time.
     """
-    n = mst.n
-    max_w = 0
-    edge_count = 0
-    for _, _, w in mst.tree_edges():
-        edge_count += 1
-        if w > max_w:
-            max_w = w
-    # Bin-sort tree edges by weight (weights are integers in 1 .. |V|).
-    buckets: List[List[Tuple[int, int, int]]] = [[] for _ in range(max_w + 1)]
-    for u, v, w in mst.tree_edges():
-        buckets[w].append((u, v, w))
-
-    total_nodes = n + edge_count
-    parents = [-1] * total_nodes
-    weights = [0] * total_nodes
-    tree_edge_of_node: List[Optional[Tuple[int, int]]] = [None] * total_nodes
-    ds = DisjointSetWithRoot(n)
-    # Internal node ids are assigned n, n+1, ... in processing order, so
-    # `attached` payloads may exceed the initial universe; the DSU tracks
-    # only leaf elements — the payload is the MST* root node id.
-    next_node = n
-    for w in range(max_w, 0, -1):
-        for u, v, _ in buckets[w]:
-            node = next_node
-            next_node += 1
-            weights[node] = w
-            tree_edge_of_node[node] = (u, v) if u < v else (v, u)
-            root_u = ds.find_root(u)
-            root_v = ds.find_root(v)
-            parents[root_u] = node
-            parents[root_v] = node
-            ds.union_with_root(u, v, node)
-    star = MSTStar(n, parents, weights, tree_edge_of_node)
+    star = MSTStar(*leaf_order_and_gaps(mst))
     invariant(
         "lemma-a.1-mst-star-structure",
         lambda: mst_star_consistent(star, mst),
-        "MST* violates Lemma A.1/A.2 (shape, weight order, gap table, "
-        "or LCA weights)",
+        "MST* violates Lemma A.1/A.2 (gap row, run table, Cartesian "
+        "parents, or sc of tree edges)",
     )
     return star

@@ -8,13 +8,13 @@ The serving layer turns the single-threaded, mutable
   on the hot path;
 - :class:`QueryCache` — a generation-aware LRU with per-region
   invalidation on publish;
-- :class:`DeltaStar` / :func:`capture_delta_snapshot` — copy-on-write
-  delta publishing: only the MST region a batch touched is rebuilt,
-  every untouched array is shared with the previous generation;
+- :func:`named_buffers` / :func:`shared_fraction` — buffer-sharing
+  accounting: a publish whose spanning forest is unchanged reuses the
+  previous MST* by identity, any other publish captures it fully;
 - :class:`UpdateReport` / :class:`PublishReport` — structured results
   of the ``apply_updates`` / ``publish`` writer surface;
-- :func:`plan_batch` / :func:`execute_batch` — batched sc evaluation
-  deduplicating shared LCA probes;
+- :func:`plan_batch` — canonical batch queries (the cache keys of
+  batched sc) and their probe-overlap count;
 - :class:`ServingIndex` — the facade tying those together with
   per-query deadlines and staleness-triggered degradation to the
   direct online engine;
@@ -38,13 +38,7 @@ live in exactly one place.
 from __future__ import annotations
 
 from repro.serve.cache import CacheEntry, QueryCache, canonical_query
-from repro.serve.delta import (
-    DeltaStar,
-    capture_delta_snapshot,
-    named_buffers,
-    shared_fraction,
-)
-from repro.serve.planner import BatchPlan, execute_batch, plan_batch
+from repro.serve.planner import BatchPlan, plan_batch
 from repro.serve.publisher import SnapshotPublisher
 from repro.serve.reports import PublishReport, UpdateReport
 from repro.serve.serving import Deadline, ServeConfig, ServingIndex
@@ -56,14 +50,18 @@ from repro.serve.shard import (
     WorkerPool,
     run_shard_workload,
 )
-from repro.serve.snapshot import IndexSnapshot, capture_snapshot
+from repro.serve.snapshot import (
+    IndexSnapshot,
+    capture_snapshot,
+    named_buffers,
+    shared_fraction,
+)
 from repro.serve.workload import ServeWorkloadSpec, run_serve_workload
 
 __all__ = [
     "BatchPlan",
     "CacheEntry",
     "Deadline",
-    "DeltaStar",
     "IndexSnapshot",
     "PublishReport",
     "QueryCache",
@@ -78,9 +76,7 @@ __all__ = [
     "UpdateReport",
     "WorkerPool",
     "canonical_query",
-    "capture_delta_snapshot",
     "capture_snapshot",
-    "execute_batch",
     "named_buffers",
     "plan_batch",
     "run_serve_workload",

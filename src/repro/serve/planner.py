@@ -1,39 +1,27 @@
-"""Batch planning: deduplicate shared LCA probes across a query batch.
+"""Batch planning: canonical queries and the pairwise probe count.
 
-SC-OPT (Algorithm 11) answers ``sc(q)`` as ``min_i w(LCA(v0, v_i))`` —
-one O(1) LCA probe per query vertex.  Real batches share structure
-heavily (hub vertices recur, queries overlap), so across a batch the
-same ``(v0, v_i)`` probe is often needed many times.  The planner
-canonicalizes every query (sorted unique vertices, so the anchor
-``v0 = min(q)`` is deterministic), collects the distinct probes of the
-whole batch, evaluates them in **one** vectorized
-:meth:`~repro.index.mst_star.MSTStar.sc_pairs_batch` gather, and folds
-each query's answer as the min over its probes.
+:func:`plan_batch` canonicalizes every query of a batch (sorted unique
+vertices), which is the form the serving cache keys batched ``sc``
+answers by, and counts the pairwise ``(min(q), v)`` LCA probes a
+per-pair evaluation would issue against the distinct ones the batch
+needs (:attr:`BatchPlan.probes_saved`) — a measure of how much a batch
+overlaps.
 
-Answers are identical to per-query SC-OPT with one convention borrowed
-from ``sc_pairs_batch``: a query spanning several connected components
-answers 0 instead of raising, which keeps one bad query from poisoning
-a batch.  Callers that want the raising behavior filter zeros.
+Evaluation needs no plan: the gap table answers each query with one
+range minimum over its leftmost and rightmost leaves, so a whole batch
+is one :meth:`~repro.index.mst_star.MSTStar.steiner_connectivity_batch`
+call.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.errors import EmptyQueryError, InternalInvariantError
-from repro.serve.snapshot import IndexSnapshot
+from repro.errors import EmptyQueryError
 
-__all__ = ["BatchPlan", "plan_batch", "execute_batch"]
+__all__ = ["BatchPlan", "plan_batch"]
 
 Probe = Tuple[int, int]
-
-#: Anything exposing the snapshot batch-query surface: an
-#: :class:`IndexSnapshot`, or a worker-side
-#: :class:`~repro.serve.shard.SharedSnapshotView` mapping the same
-#: buffers out of shared memory.  Requirements: a ``star`` with
-#: ``sc_pairs_batch`` returning an int64 ndarray, and a
-#: ``steiner_connectivity_batch`` method returning a list.
-SnapshotLike = IndexSnapshot
 
 
 class BatchPlan:
@@ -87,61 +75,3 @@ def plan_batch(queries: Sequence[Sequence[int]]) -> BatchPlan:
         singletons=list(singleton_set),
         probes_requested=requested,
     )
-
-
-def execute_batch(snapshot: "SnapshotLike", plan: BatchPlan) -> List[int]:
-    """Evaluate a plan against one snapshot; answers align with the batch.
-
-    Disconnected queries (and isolated singletons) answer 0.  The whole
-    plan runs through the MST* batch kernels: one
-    :meth:`~repro.index.mst_star.MSTStar.sc_pairs_batch` gather for the
-    deduplicated probes, one
-    :meth:`~repro.index.mst_star.MSTStar.steiner_connectivity_batch`
-    call for the singletons (which also raises
-    :class:`~repro.errors.VertexNotFoundError` for unknown vertices,
-    matching the per-query path), and a segmented ``minimum.reduceat``
-    fold instead of a per-query Python ``min``.
-    """
-    import numpy as np
-
-    star = snapshot.star
-    values = None
-    if plan.probes:
-        values = star.sc_pairs_batch(
-            [p[0] for p in plan.probes], [p[1] for p in plan.probes]
-        )
-    singleton_value: Dict[int, int] = {}
-    if plan.singletons:
-        singleton_value = dict(
-            zip(
-                plan.singletons,
-                snapshot.steiner_connectivity_batch(
-                    [(v,) for v in plan.singletons]
-                ),
-            )
-        )
-    probe_index: Dict[Probe, int] = {p: i for i, p in enumerate(plan.probes)}
-    answers: List[int] = [0] * len(plan.queries)
-    flat: List[int] = []
-    starts: List[int] = []
-    multi_at: List[int] = []
-    for i, cq in enumerate(plan.queries):
-        if len(cq) == 1:
-            answers[i] = singleton_value[cq[0]]
-            continue
-        multi_at.append(i)
-        starts.append(len(flat))
-        v0 = cq[0]
-        flat.extend(probe_index[(v0, v)] for v in cq[1:])
-    if multi_at:
-        if values is None:  # plan invariant: probes back multi queries
-            raise InternalInvariantError(
-                "batch plan has multi-vertex queries but no probes"
-            )
-        mins = np.minimum.reduceat(
-            values[np.asarray(flat, dtype=np.int64)],
-            np.asarray(starts, dtype=np.int64),
-        )
-        for i, best in zip(multi_at, mins.tolist()):
-            answers[i] = best
-    return answers

@@ -15,13 +15,15 @@ Publication protocol:
    whose steiner-connectivity changed, per Observations I/II);
 2. ``publish()`` captures a new snapshot (still under the lock, so it
    is transactionally consistent), bumps the generation, and swaps the
-   published reference — a single atomic store.  With delta publishing
-   enabled (the default) the capture is *copy-on-write*: only the MST
-   region the batch actually touched is rebuilt, and every untouched
-   array is shared with the last full snapshot by object identity (see
-   :mod:`repro.serve.delta`); the publisher falls back to a full
-   capture whenever the delta preconditions fail or the region exceeds
-   ``region_fraction_limit`` of the vertices;
+   published reference — a single atomic store.  The capture follows
+   one rule: when the spanning forest is unchanged since the last
+   capture (``MSTIndex.tree_version`` has not moved — the batch only
+   touched non-tree edges), the new snapshot reuses the previous MST*
+   by object identity and only its edge log is new (mode ``"delta"``);
+   otherwise the MST* is rebuilt from the live tree (mode ``"full"``).
+   Measured on the perfbench workloads, a tree change is either absent
+   or large enough that rebuilding the gap row costs about what a
+   region-local patch did;
 3. the caller (the serving facade) feeds the
    :class:`~repro.serve.reports.PublishReport` to the result cache so
    unaffected entries carry over.
@@ -37,14 +39,14 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import Callable, Iterable, List, Optional, Set, Tuple
 
+from repro.analysis.freeze import maybe_deep_freeze
 from repro.analysis.tsan import AnyRLock, monitored, new_rlock
 from repro.core.queries import SMCCIndex
 from repro.graph.graph import edge_key
 from repro.obs import runtime as _obs
 from repro.obs.spans import span
-from repro.serve.delta import capture_delta_snapshot, shared_fraction
 from repro.serve.reports import PublishReport, UpdateOp, UpdateReport
-from repro.serve.snapshot import IndexSnapshot, capture_snapshot
+from repro.serve.snapshot import IndexSnapshot, capture_snapshot, shared_fraction
 
 __all__ = ["SnapshotPublisher"]
 
@@ -55,21 +57,8 @@ Edge = Tuple[int, int]
 class SnapshotPublisher:
     """Serializes writers and publishes immutable snapshots atomically."""
 
-    def __init__(
-        self,
-        index: SMCCIndex,
-        *,
-        delta: bool = True,
-        region_fraction_limit: float = 0.25,
-    ) -> None:
+    def __init__(self, index: SMCCIndex) -> None:
         self._index = index  # guarded-by: immutable-after-publish
-        #: delta publishing on/off (off = every publish is a full capture)
-        self._delta_enabled = delta  # guarded-by: immutable-after-publish
-        #: a delta region larger than this fraction of |V| falls back to
-        #: a full capture (rebuilding most of the tree region-locally
-        #: costs more than a clean rebuild)
-        # guarded-by: immutable-after-publish
-        self._region_fraction_limit = region_fraction_limit
         #: reentrant: degraded direct reads nest under writer-side calls
         self._lock = new_rlock("SnapshotPublisher._lock")
         self._generation = 0  # guarded-by: _lock
@@ -80,13 +69,11 @@ class SnapshotPublisher:
         #: once region tracking has been abandoned for this window
         self._affected: Optional[Set[int]] = set()  # guarded-by: _lock
         #: the live graph's sorted edge list, maintained incrementally so
-        #: a delta capture never pays the O(|E| log |E|) re-sort
+        #: a capture never pays the O(|E| log |E|) re-sort
         # guarded-by: _lock
         self._edges_list: List[Edge] = sorted(index.conn_graph.graph.edges())
-        # Delta captures patch against the last *full* snapshot, with the
-        # tree's dirty set accumulating since that base (cleared only on
-        # full publishes).  Arm tracking before any mutation can happen.
-        index.mst.begin_dirty_tracking()
+        #: the tree version the published star was captured at
+        self._star_version = index.mst.tree_version  # guarded-by: _lock
         #: swapped under the lock; read lock-free by snapshot() — the
         #: atomic reference publication at the heart of the design
         # guarded-by: _lock [writes]
@@ -96,7 +83,6 @@ class SnapshotPublisher:
             generation=0,
             edges=tuple(self._edges_list),
         )
-        self._base_snapshot = self._snapshot  # guarded-by: _lock
         #: advisory flag; lock-free readers only ever observe it
         self._publishing = False  # guarded-by: _lock [writes]
         #: optional hook exporting each published generation to an
@@ -134,10 +120,6 @@ class SnapshotPublisher:
     def index(self) -> SMCCIndex:
         """The live mutable index; only touch it while holding ``lock``."""
         return self._index
-
-    @property
-    def delta_enabled(self) -> bool:
-        return self._delta_enabled
 
     # ------------------------------------------------------------------
     # Writer side
@@ -197,30 +179,6 @@ class SnapshotPublisher:
             affected=frozenset(batch_affected),
         )
 
-    def insert_edge(self, u: int, v: int) -> List[Tuple[int, int, int]]:
-        """Insert one edge (low-level; raises on duplicates/self-loops).
-
-        Prefer :meth:`apply_updates`, which batches, tolerates no-ops,
-        and returns a structured report.
-        """
-        with self._lock:
-            changes = self._index.insert_edge(u, v)
-            self._note_changes(u, v, changes)
-            insort(self._edges_list, edge_key(u, v))
-            return changes
-
-    def delete_edge(self, u: int, v: int) -> List[Tuple[int, int, int]]:
-        """Delete one edge (low-level; raises when the edge is missing).
-
-        Prefer :meth:`apply_updates`, which batches, tolerates no-ops,
-        and returns a structured report.
-        """
-        with self._lock:
-            changes = self._index.delete_edge(u, v)
-            self._note_changes(u, v, changes)
-            self._drop_edge_key(u, v)
-            return changes
-
     # guarded-by: _lock
     def _note_changes(
         self, u: int, v: int, changes: List[Tuple[int, int, int]]
@@ -265,12 +223,12 @@ class SnapshotPublisher:
         """Capture + atomically publish a new snapshot generation.
 
         The report carries the new generation, the publish ``mode``
-        (``"delta"``, ``"full"``, or ``"noop"`` when nothing was
-        pending), the rebuilt-region size, the fraction of named buffers
+        (``"delta"`` when the spanning forest is unchanged and the
+        previous MST* is reused, ``"full"`` when it is rebuilt, or
+        ``"noop"`` when nothing was pending), the rebuilt size (0 on
+        reuse, |V| on a full capture), the fraction of named buffers
         shared with the previous generation, and the affected vertex
         set for cache invalidation (``None`` = invalidate everything).
-        For one release the report also forwards snapshot attribute
-        reads behind a ``DeprecationWarning``.
         """
         with self._lock:
             if self._pending_updates == 0:
@@ -286,33 +244,31 @@ class SnapshotPublisher:
             try:
                 with span("serve.publish") as sp:
                     new_generation = self._generation + 1
-                    mode = "full"
-                    region_size = 0
-                    snapshot: Optional[IndexSnapshot] = None
-                    if self._delta_enabled:
-                        delta = capture_delta_snapshot(
-                            self._base_snapshot,
-                            self._index.mst,
-                            new_generation,
-                            self._index.graph.num_vertices,
-                            tuple(self._edges_list),
-                            self._region_fraction_limit,
+                    edges = tuple(self._edges_list)
+                    mst = self._index.mst
+                    if mst.tree_version == self._star_version:
+                        # Only non-tree edges changed: every answer is
+                        # the previous star's; the edge log is new.
+                        mode = "delta"
+                        region_size = 0
+                        snapshot = maybe_deep_freeze(
+                            IndexSnapshot(
+                                generation=new_generation,
+                                num_vertices=self._index.graph.num_vertices,
+                                edges=edges,
+                                star=self._snapshot.star,
+                            )
                         )
-                        if delta is not None:
-                            snapshot, region_size = delta
-                            mode = "delta"
-                    if snapshot is None:
+                    else:
+                        mode = "full"
                         snapshot = capture_snapshot(
                             self._index.conn_graph,
-                            self._index.mst,
+                            mst,
                             generation=new_generation,
-                            edges=tuple(self._edges_list),
+                            edges=edges,
                         )
                         region_size = snapshot.num_vertices
-                        # This snapshot is the new delta base; the dirty
-                        # set accumulates against it from here on.
-                        self._base_snapshot = snapshot
-                        self._index.mst.clear_dirty()
+                        self._star_version = mst.tree_version
                     sp.set("generation", new_generation)
                     sp.set("pending_updates", self._pending_updates)
                     sp.set("mode", mode)

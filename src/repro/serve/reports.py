@@ -10,23 +10,17 @@ replaces those with two small immutable report types:
   deleting a missing one), the aggregated sc deltas, and the affected
   vertex region.
 - :class:`PublishReport` — what a publish did: the new generation, the
-  publish **mode** (``"full"`` rebuild, ``"delta"`` region patch, or
-  ``"noop"`` when nothing was pending), the affected-region size, the
-  fraction of named snapshot buffers shared with the previous
-  generation, and the published snapshot itself.
-
-One-release compatibility: callers that treated the return value of
-``publish()`` as an :class:`~repro.serve.snapshot.IndexSnapshot` keep
-working — unknown attribute reads on :class:`PublishReport` forward to
-``.snapshot`` behind a :class:`DeprecationWarning`, mirroring the
-keyword-only migration of the ``SMCCIndex`` facade.
+  publish **mode** (``"full"`` rebuild, ``"delta"`` reuse of the
+  previous MST*, or ``"noop"`` when nothing was pending), the rebuilt
+  size, the fraction of named snapshot buffers shared with the
+  previous generation, and the published snapshot itself (read it as
+  ``report.snapshot``).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, FrozenSet, Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 from repro.serve.snapshot import IndexSnapshot
 
@@ -67,10 +61,10 @@ class PublishReport:
 
     #: generation of the published snapshot
     generation: int
-    #: "full" (rebuilt from scratch), "delta" (region patch over the
-    #: previous full base), or "noop" (nothing pending; snapshot reused)
+    #: "full" (MST* rebuilt), "delta" (spanning forest unchanged, the
+    #: previous MST* reused), or "noop" (nothing pending; snapshot reused)
     mode: str
-    #: size of the affected MST region (0 for noop; |V| for full)
+    #: vertices whose MST* was rebuilt (|V| for full; 0 otherwise)
     region_size: int
     #: fraction of named snapshot buffers shared with the previous
     #: generation (0.0 for a full rebuild)
@@ -79,22 +73,3 @@ class PublishReport:
     snapshot: IndexSnapshot
     #: the region handed to cache invalidation (None = wholesale)
     affected: Optional[FrozenSet[int]] = None
-
-    def __getattr__(self, name: str) -> Any:
-        # One-release shim: publish() used to return the IndexSnapshot
-        # itself, so forward unknown reads (edges, sc_pair, ...) to it.
-        if name.startswith("_"):
-            raise AttributeError(name)
-        snapshot = object.__getattribute__(self, "snapshot")
-        if hasattr(snapshot, name):
-            warnings.warn(
-                f"accessing {name!r} on the result of publish() is "
-                "deprecated and will become an error in a future "
-                f"release; use publish().snapshot.{name} instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return getattr(snapshot, name)
-        raise AttributeError(
-            f"{type(self).__name__!s} has no attribute {name!r}"
-        )

@@ -37,7 +37,7 @@ from repro.graph.graph import Graph
 from repro.obs import runtime as _obs
 from repro.obs.timing import monotonic
 from repro.serve.cache import QueryCache, Touch, canonical_query
-from repro.serve.planner import execute_batch, plan_batch
+from repro.serve.planner import plan_batch
 from repro.serve.publisher import SnapshotPublisher
 from repro.serve.reports import PublishReport, UpdateReport
 from repro.serve.snapshot import IndexSnapshot
@@ -66,12 +66,19 @@ class ServeConfig:
     auto_publish_every: Optional[int] = None
     #: KECC engine for the degraded direct path
     direct_engine: str = "exact"
-    #: publish deltas that share untouched arrays with the previous
-    #: generation when the touched MST region stays small; False makes
-    #: every publish a full capture
-    delta_publish: bool = True
+    #: deprecated and ignored: a publish reuses the previous MST* when
+    #: the spanning forest is unchanged and rebuilds it otherwise
+    delta_publish: Optional[bool] = None
 
     def __post_init__(self) -> None:
+        if self.delta_publish is not None:
+            warnings.warn(
+                "ServeConfig.delta_publish is deprecated and ignored: a "
+                "publish reuses the previous MST* when the spanning "
+                "forest is unchanged and captures it fully otherwise",
+                DeprecationWarning,
+                stacklevel=3,
+            )
         if self.invalidation not in ("region", "wholesale"):
             raise ValueError(
                 f"invalidation must be 'region' or 'wholesale', "
@@ -131,11 +138,7 @@ class ServingIndex:
             config = mapped.get("config", config)  # type: ignore[assignment]
         self.config = config or ServeConfig()  # guarded-by: immutable-after-publish
         # guarded-by: immutable-after-publish
-        self.publisher = SnapshotPublisher(
-            index,
-            delta=self.config.delta_publish,
-            region_fraction_limit=self.config.region_fraction_limit,
-        )
+        self.publisher = SnapshotPublisher(index)
         # guarded-by: immutable-after-publish
         self.cache = QueryCache(
             capacity=self.config.cache_capacity,
@@ -196,32 +199,6 @@ class ServingIndex:
         report = self.publisher.apply_updates(inserts=inserts, deletes=deletes)
         self._maybe_auto_publish()
         return report
-
-    def insert_edge(self, u: int, v: int) -> List[Tuple[int, int, int]]:
-        """Deprecated: use ``apply_updates(inserts=[(u, v)])``."""
-        warnings.warn(
-            "ServingIndex.insert_edge() is deprecated and will be removed "
-            "in a future release; use apply_updates(inserts=[(u, v)]), "
-            "which batches and returns an UpdateReport",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        changes = self.publisher.insert_edge(u, v)
-        self._maybe_auto_publish()
-        return changes
-
-    def delete_edge(self, u: int, v: int) -> List[Tuple[int, int, int]]:
-        """Deprecated: use ``apply_updates(deletes=[(u, v)])``."""
-        warnings.warn(
-            "ServingIndex.delete_edge() is deprecated and will be removed "
-            "in a future release; use apply_updates(deletes=[(u, v)]), "
-            "which batches and returns an UpdateReport",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        changes = self.publisher.delete_edge(u, v)
-        self._maybe_auto_publish()
-        return changes
 
     def _maybe_auto_publish(self) -> None:
         every = self.config.auto_publish_every
@@ -374,11 +351,14 @@ class ServingIndex:
         timeout: Optional[float] = None,
         max_staleness: Optional[int] = None,
     ) -> List[int]:
-        """Batched ``sc``: shared LCA probes are evaluated exactly once.
+        """Batched ``sc``: cache hits, then one vectorized kernel call.
 
-        Answers align with ``queries``; a query spanning multiple
-        connected components answers 0 (the batch convention of
-        :meth:`MSTStar.sc_pairs_batch`) instead of raising.
+        Queries are canonicalized by :func:`plan_batch` (the cache
+        keys); the misses go to
+        :meth:`~repro.index.mst_star.MSTStar.steiner_connectivity_batch`
+        in one call.  Answers align with ``queries``; a query spanning
+        multiple connected components answers 0 (the batch convention)
+        instead of raising.
         """
         deadline = self._admit("batch", timeout)
         try:
@@ -400,9 +380,9 @@ class ServingIndex:
                     uncached.append((i, cq))
             deadline.check()
             if uncached:
-                sub_plan = plan_batch([cq for _, cq in uncached])
-                self._count("serve.batch.probes_saved", sub_plan.probes_saved)
-                values = execute_batch(snapshot, sub_plan)
+                values = snapshot.steiner_connectivity_batch(
+                    [cq for _, cq in uncached]
+                )
                 for (i, cq), value in zip(uncached, values):
                     answers[i] = value
                     if value > 0:

@@ -9,31 +9,29 @@ processes map them zero-copy:
 - :class:`SharedSnapshotStore` (writer side) serializes a snapshot's
   named buffers into shared-memory segments and writes one *manifest*
   per generation — a checksummed JSON document naming every segment
-  with its dtype and shape.  Segments are **refcounted**: a delta
-  generation re-points its base ``star.*`` and ``patch.*`` entries at
-  the segments of the generations that first exported them, by name,
-  so copy-on-write sharing survives the process boundary, and a
+  with its dtype and shape.  Segments are **refcounted**: a
+  generation that reuses the previous MST* re-points its ``star.*``
+  entries at the segments of the generation that first exported them,
+  by name, so the sharing survives the process boundary, and a
   segment is unlinked exactly when the last generation referencing it
   is retired (on Linux existing worker mappings survive the unlink, so
   retirement never races a reader — a worker that loses an attach
   simply re-reads the head and attaches the newer generation);
 - :class:`SharedSnapshotView` (worker side) maps a manifest read-only
-  and puts the MST* / delta read structures directly over the shared
-  ndarrays — every exported star carries its gap table as one ``rmq``
-  buffer (a delta its own spliced one), so a worker answers every
-  family with the same :class:`~repro.index.mst_star.MSTStar` code as
-  the writer, and byte-identically to the in-process snapshot for the
-  four served query families (``sc``, ``sc_pairs_batch`` / batched
-  ``sc``, ``smcc``, ``smcc_l``).  Manifests are version 3: the star
-  buffers plus the edge log, with no MST buffers, since no worker read
-  walks the MST;
+  and puts the MST* read structure directly over the shared ndarrays
+  (:meth:`~repro.index.mst_star.MSTStar.over_arrays`), so a worker
+  answers every family with the same code as the writer, and
+  byte-identically to the in-process snapshot for the four served
+  query families (``sc``, ``sc_pairs_batch`` / batched ``sc``,
+  ``smcc``, ``smcc_l``).  Manifests are version 4: every generation
+  exports the same buffers — the star's ``leaf_order``,
+  ``leaf_position``, ``rmq`` (gap row and sparse table), ``runs`` and
+  ``jump`` tables, and the ``edges`` log;
 - :class:`WorkerPool` forks N worker processes, each serving requests
-  over a pipe through the existing batch planner
-  (:func:`~repro.serve.planner.plan_batch` /
-  :func:`~repro.serve.planner.execute_batch`), swapping to the newest
-  generation *between* requests (snapshot isolation per answer);
+  over a pipe, swapping to the newest generation *between* requests
+  (snapshot isolation per answer);
 - :class:`ShardGateway` fronts the pool: it shards requests by MST
-  component, coalesces same-shard single queries into planner batches
+  component, coalesces same-shard single queries into batches
   on the asyncio event loop, propagates the serving tier's deadline /
   staleness admission control across the process hop (stale reads
   degrade to the in-process direct path), retries on a sibling when a
@@ -93,10 +91,8 @@ from repro.errors import (
 from repro.index.mst_star import MSTStar
 from repro.obs import runtime as _obs
 from repro.obs.timing import Stopwatch
-from repro.serve.delta import DeltaStar
-from repro.serve.planner import execute_batch, plan_batch
 from repro.serve.serving import Deadline, ServingIndex
-from repro.serve.snapshot import IndexSnapshot
+from repro.serve.snapshot import IndexSnapshot, star_buffers
 
 __all__ = [
     "SharedSnapshotStore",
@@ -115,33 +111,17 @@ Edge = Tuple[int, int]
 #: manifest wire format: magic + version + payload length + crc32,
 #: then the JSON payload.  Decoding validates all four before parsing.
 _MANIFEST_MAGIC = b"RSHM"
-_MANIFEST_VERSION = 3
+_MANIFEST_VERSION = 4
 _MANIFEST_HEADER = struct.Struct("<4sHxxII")
 
 #: head segment seqlock layout: [sequence, generation, sequence-mirror]
 _HEAD_DTYPE = np.int64
 _HEAD_SLOTS = 3
 
-#: buffers of one exported MST* (in MSTStar.over_arrays argument order):
-#: the tree, its interval view and its gap table (``rmq``, row 0 = gaps)
-_STAR_SUFFIXES = (
-    "parents",
-    "weights",
-    "leaf_order",
-    "leaf_position",
-    "interval_start",
-    "interval_end",
-    "jump",
-    "rmq",
-)
-#: a delta generation's own buffers: its patched leaf order and its
-#: spliced gap table, plus the region's global vertex ids
-_DELTA_BUFFERS = (
-    "delta.leaf_order",
-    "delta.leaf_position",
-    "delta.region_leaves",
-    "delta.rmq",
-)
+#: buffers of one exported MST*, in MSTStar.over_arrays argument order:
+#: the leaf order and positions, the gap table (``rmq``, row 0 = gaps),
+#: the run table and the Cartesian jump table
+_STAR_SUFFIXES = ("leaf_order", "leaf_position", "rmq", "runs", "jump")
 
 
 #: serializes the registration-suppression window below against
@@ -215,12 +195,11 @@ def system_segments(prefix: str) -> List[str]:
 
 
 def list_repro_segments(prefix: str = "rsh") -> List[str]:
-    """Every live repro shard segment on this host.
+    """Every live repro shard segment on this host, from any process.
 
-    Store prefixes default to ``rsh<uuid>``, so the bare default is a
-    process-wide zero-leak probe: the shared pytest fixture snapshots
-    it before and after each shard test and fails naming any leftover
-    segment.
+    Store prefixes default to ``rsh<uuid>``, so the bare default lists
+    the segments of every store on the host; a leak check for one
+    store probes :func:`system_segments` with that store's prefix.
     """
     return system_segments(prefix)
 
@@ -264,23 +243,13 @@ def _decode_manifest(raw: bytes, source: str) -> Dict[str, Any]:
 def _validate_manifest(doc: Any, source: str) -> None:
     if not isinstance(doc, dict):
         raise ManifestError(source, "manifest payload is not an object")
-    for key in ("generation", "kind", "num_vertices", "num_edges", "segments"):
+    for key in ("generation", "num_vertices", "num_edges", "segments"):
         if key not in doc:
             raise ManifestError(source, f"manifest is missing {key!r}")
-    if doc["kind"] not in ("full", "delta"):
-        raise ManifestError(source, f"unknown manifest kind {doc['kind']!r}")
     segments = doc["segments"]
     if not isinstance(segments, dict):
         raise ManifestError(source, "manifest segment table is not an object")
-    required: Tuple[str, ...] = tuple(
-        ["star." + s for s in _STAR_SUFFIXES] + ["edges"]
-    )
-    if doc["kind"] == "delta":
-        required += tuple(["patch." + s for s in _STAR_SUFFIXES])
-        required += _DELTA_BUFFERS
-        if not isinstance(doc.get("region"), dict):
-            raise ManifestError(source, "delta manifest is missing its region")
-    for buffer in required:
+    for buffer in ["star." + suffix for suffix in _STAR_SUFFIXES] + ["edges"]:
         spec = segments.get(buffer)
         if (
             not isinstance(spec, dict)
@@ -356,10 +325,10 @@ class SharedSnapshotStore:
     Owned by the writer process (the one holding the
     :class:`~repro.serve.publisher.SnapshotPublisher`).  Each exported
     generation gets one manifest segment plus one segment per named
-    buffer it does not share; a delta generation re-points every base
-    ``star.*`` entry at the base generation's segments by name, so only
-    the patch, the patched leaf order, the delta's own gap table, the
-    MST parent arrays, and the edge log are copied.  Segment
+    buffer it does not share; a generation that reuses the previous
+    MST* re-points every ``star.*`` entry at the segments of the
+    generation that first exported that star, by name, so only its
+    edge log is copied.  Segment
     refcounts are per-generation references; :meth:`retire` decrements
     them and unlinks on zero — on Linux a worker still mapping the
     segment keeps the memory alive until it detaches, so retirement is
@@ -380,9 +349,9 @@ class SharedSnapshotStore:
         self._generations: Dict[int, Dict[str, Any]] = {}  # guarded-by: _lock
         #: identity cache: one exported MST* is shared across the
         #: generations whose snapshots share it by object identity
-        self._star_exports: Dict[Tuple[int, str], Dict[str, str]] = {}  # guarded-by: _lock
+        self._star_exports: Dict[int, Dict[str, str]] = {}  # guarded-by: _lock
         #: strong refs keeping the identity keys above stable
-        self._star_pins: Dict[Tuple[int, str], object] = {}  # guarded-by: _lock
+        self._star_pins: Dict[int, object] = {}  # guarded-by: _lock
         self._seg_counter = 0  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
         head = _create_segment(
@@ -434,38 +403,20 @@ class SharedSnapshotStore:
         }
 
     # guarded-by: _lock
-    def _jump_matrix(self, star: MSTStar) -> np.ndarray:
-        jump = star._jump
-        if isinstance(jump, np.ndarray):
-            return jump
-        return np.asarray([list(row) for row in jump], dtype=np.int64)
-
-    # guarded-by: _lock
-    def _export_star(
-        self, star: MSTStar, star_prefix: str
-    ) -> Tuple[Dict[str, str], Dict[str, Any]]:
-        """Export one plain MST* (or reuse a prior identical export).
+    def _export_star(self, star: MSTStar) -> Tuple[Dict[str, str], Dict[str, Any]]:
+        """Export one MST* (or reuse a prior export of the same object).
 
         Returns ``(segment names by buffer, array values by buffer)``;
         the values are only materialized for fresh exports (reuse needs
         just the names plus the shapes recorded below).
         """
-        key = (id(star), star_prefix)
+        key = id(star)
         cached = self._star_exports.get(key)
         if cached is not None and all(
             name in self._refs for name in cached.values()
         ):
             return dict(cached), {}
-        values: Dict[str, Any] = {
-            star_prefix + "parents": star.parents,
-            star_prefix + "weights": star.weights,
-            star_prefix + "leaf_order": star.leaf_order,
-            star_prefix + "leaf_position": star.leaf_position,
-            star_prefix + "interval_start": star._interval_start,
-            star_prefix + "interval_end": star._interval_end,
-            star_prefix + "jump": self._jump_matrix(star),
-            star_prefix + "rmq": star._rmq,
-        }
+        values: Dict[str, Any] = star_buffers(star)
         names = {buffer: self._export_array(v) for buffer, v in values.items()}
         self._star_exports[key] = dict(names)
         self._star_pins[key] = star
@@ -521,36 +472,8 @@ class SharedSnapshotStore:
     def _export_locked(
         self, snapshot: IndexSnapshot, generation: int
     ) -> Dict[str, Any]:
-        star = snapshot.star
         segments: Dict[str, Dict[str, Any]] = {}
-        shapes: Dict[str, Any] = {}
-        kind = "full"
-        region: Optional[Dict[str, int]] = None
-        if isinstance(star, DeltaStar):
-            kind = "delta"
-            base_names, base_values = self._export_star(star.base, "star.")
-            patch_names, patch_values = self._export_star(star.patch, "patch.")
-            names = dict(base_names)
-            names.update(patch_names)
-            shapes.update(base_values)
-            shapes.update(patch_values)
-            delta_values: Dict[str, Any] = {
-                "delta.leaf_order": star.leaf_order,
-                "delta.leaf_position": star.leaf_position,
-                "delta.region_leaves": star._global_of,
-                "delta.rmq": star._rmq,
-            }
-            for buffer, value in delta_values.items():
-                names[buffer] = self._export_array(value)
-                shapes[buffer] = value
-            region = {
-                "node": int(star.region_node),
-                "start": int(star.region_start),
-                "end": int(star.region_end),
-                "boundary_weight": int(star.boundary_weight),
-            }
-        else:
-            names, shapes = self._export_star(star, "star.")
+        names, shapes = self._export_star(snapshot.star)
         edges = np.asarray(snapshot.edges, dtype=np.int64).reshape(
             (snapshot.num_edges, 2)
         )
@@ -568,11 +491,9 @@ class SharedSnapshotStore:
             "format": "repro-shard-manifest",
             "version": _MANIFEST_VERSION,
             "generation": generation,
-            "kind": kind,
             "num_vertices": snapshot.num_vertices,
             "num_edges": snapshot.num_edges,
             "segments": segments,
-            "region": region,
         }
         manifest_name = f"{self.prefix}m{generation}"
         payload = _encode_manifest(doc)
@@ -726,34 +647,6 @@ class SharedSnapshotStore:
 # ----------------------------------------------------------------------
 # Worker side: the view
 # ----------------------------------------------------------------------
-def _build_star_view(arrays: Dict[str, np.ndarray], prefix: str) -> MSTStar:
-    """An MST* over one exported star's shared ndarrays (no rebuild)."""
-    return MSTStar.over_arrays(
-        *(arrays[prefix + suffix] for suffix in _STAR_SUFFIXES)
-    )
-
-
-def _build_delta_view(
-    doc: Dict[str, Any], arrays: Dict[str, np.ndarray]
-) -> DeltaStar:
-    """A :class:`DeltaStar` over the mapped base, patch and own buffers."""
-    region = doc["region"]
-    return DeltaStar(
-        _build_star_view(arrays, "star."),
-        _build_star_view(arrays, "patch."),
-        int(region["node"]),
-        int(region["start"]),
-        int(region["end"]),
-        int(region["boundary_weight"]),
-        arrays["delta.region_leaves"],
-        tables=(
-            arrays["delta.leaf_order"],
-            arrays["delta.leaf_position"],
-            arrays["delta.rmq"],
-        ),
-    )
-
-
 def _segment_bytes(
     shm: "multiprocessing.shared_memory.SharedMemory",
 ) -> np.ndarray:
@@ -796,16 +689,14 @@ class SharedSnapshotView:
         self.generation = int(doc["generation"])
         self.num_vertices = int(doc["num_vertices"])
         self.num_edges = int(doc["num_edges"])
-        self.kind = str(doc["kind"])
         # Views are confined to one worker process/thread; close()
         # nulls these before unmapping (BufferError discipline).
         self._segments = segments  # guarded-by: thread-local
         self._arrays = arrays  # guarded-by: thread-local
-        if self.kind == "delta":
-            # guarded-by: thread-local
-            self.star: MSTStar = _build_delta_view(doc, arrays)
-        else:
-            self.star = _build_star_view(arrays, "star.")
+        # guarded-by: thread-local
+        self.star: MSTStar = MSTStar.over_arrays(
+            *(arrays["star." + suffix] for suffix in _STAR_SUFFIXES)
+        )
         self._closed = False  # guarded-by: thread-local
 
     @classmethod
@@ -861,8 +752,8 @@ class SharedSnapshotView:
         return self.star.steiner_connectivity_batch(queries).tolist()
 
     def sc_batch(self, queries: Sequence[Sequence[int]]) -> List[int]:
-        """Planned batched sc — the gateway's coalesced request shape."""
-        return execute_batch(self, plan_batch(queries))
+        """Batched sc — the gateway's coalesced request shape."""
+        return self.star.steiner_connectivity_batch(queries).tolist()
 
     def smcc(self, q: Sequence[int]) -> Tuple[List[int], int]:
         sc, start, end = self.star.smcc_interval(q)
@@ -889,7 +780,7 @@ class SharedSnapshotView:
     def __repr__(self) -> str:
         return (
             f"SharedSnapshotView(generation={self.generation}, "
-            f"kind={self.kind!r}, n={self.num_vertices})"
+            f"n={self.num_vertices})"
         )
 
 
@@ -1217,7 +1108,7 @@ class ShardGateway:
     generations).
 
     The asyncio front (:meth:`sc_async`) coalesces same-shard single
-    queries into planner batches: queries enqueued during one event
+    queries into batches: queries enqueued during one event
     loop tick flush as one ``sc_batch`` request (batch convention: a
     disconnected query answers 0 instead of raising).
     """
@@ -1419,7 +1310,7 @@ class ShardGateway:
         """Coalesced single-query ``sc`` (batch convention: 0, not raise).
 
         Queries awaited during the same event-loop tick that target the
-        same shard flush as **one** planner batch through one worker
+        same shard flush as **one** batch through one worker
         round-trip.  Because the batch kernels use the 0-for-
         disconnected convention, a disconnected query answers 0 here
         instead of raising — callers wanting the raising behavior use

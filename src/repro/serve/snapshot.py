@@ -14,14 +14,19 @@ consistent maximum spanning forest).
 Thread-safety contract: every query (``steiner_connectivity``,
 ``sc_pair``, ``sc_pairs_batch``, ``smcc``, ``smcc_interval``,
 ``smcc_l``, ``components_at``, ``max_connectivity``) reads only the
-MST*'s leaf order and gap table, which are built once at capture time
-and never written again, so any number of threads may call any of them
-concurrently with no locking — on full and delta generations alike.
+MST*'s leaf order, gap row and the tables derived from it, which are
+built once at capture time and never written again, so any number of
+threads may call any of them concurrently with no locking.
+
+A generation whose spanning forest did not change since the previous
+capture shares that capture's :class:`~repro.index.mst_star.MSTStar`
+by object identity; only its edge log is new.  :func:`named_buffers`
+and :func:`shared_fraction` account for that sharing.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.freeze import maybe_deep_freeze
 from repro.analysis.tsan import monitored
@@ -32,7 +37,12 @@ from repro.index.mst_star import MSTStar, build_mst_star
 
 Edge = Tuple[int, int]
 
-__all__ = ["IndexSnapshot", "capture_snapshot"]
+__all__ = [
+    "IndexSnapshot",
+    "capture_snapshot",
+    "named_buffers",
+    "shared_fraction",
+]
 
 
 @monitored
@@ -161,3 +171,40 @@ def capture_snapshot(
         star=build_mst_star(mst),
     )
     return maybe_deep_freeze(snapshot)
+
+
+def star_buffers(star: MSTStar) -> Dict[str, object]:  # escape: borrowed
+    """The named arrays of one MST*, in ``MSTStar.over_arrays`` order.
+
+    The leaf order and positions, the gap table (row 0 is the gap row),
+    the run table and the Cartesian jump table: what a shard manifest
+    exports per star.
+    """
+    return {
+        "star.leaf_order": star.leaf_order,
+        "star.leaf_position": star.leaf_position,
+        "star.rmq": star._rmq,
+        "star.runs": star._runs,
+        "star.jump": star._jump_table,
+    }
+
+
+def named_buffers(snapshot: IndexSnapshot) -> Dict[str, object]:  # escape: borrowed
+    """The named array inventory of a snapshot, for sharing accounting.
+
+    The star's buffers (:func:`star_buffers`) plus the edge log — the
+    buffer set a shard manifest exports.  A generation that reuses the
+    previous star shares all but ``edges``.
+    """
+    return {**star_buffers(snapshot.star), "edges": snapshot.edges}
+
+
+def shared_fraction(
+    previous: IndexSnapshot,  # escape: borrowed
+    current: IndexSnapshot,  # escape: borrowed
+) -> float:
+    """Fraction of ``current``'s named buffers shared with ``previous``."""
+    prev = named_buffers(previous)
+    cur = named_buffers(current)
+    shared = sum(1 for name, buf in cur.items() if buf is prev.get(name))
+    return shared / len(cur) if cur else 1.0

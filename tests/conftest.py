@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from typing import List
 
 import pytest
 
 from repro.core.queries import SMCCIndex
+from repro.graph.graph import Graph
 from repro.graph.generators import (
     clique_chain_graph,
     gnm_random_graph,
@@ -14,25 +16,67 @@ from repro.graph.generators import (
 )
 
 
+class StoreSegmentSweep:
+    """Segments left behind by the stores created inside a ``with`` block.
+
+    Records the prefix of every
+    :class:`~repro.serve.shard.SharedSnapshotStore` constructed in the
+    block, and :meth:`leaked` lists the ``/dev/shm`` segments still
+    carrying one of those prefixes.  Segments of other processes on the
+    same host (a concurrent benchmark, a second CI job) carry other
+    prefixes and are never reported.
+    """
+
+    def __init__(self) -> None:
+        self.prefixes: List[str] = []
+
+    def __enter__(self) -> "StoreSegmentSweep":
+        from repro.serve.shard import SharedSnapshotStore
+
+        self._init = init = SharedSnapshotStore.__init__
+        prefixes = self.prefixes
+
+        def recording_init(store, *args, **kwargs):
+            try:
+                init(store, *args, **kwargs)
+            finally:
+                if getattr(store, "prefix", None) is not None:
+                    prefixes.append(store.prefix)
+
+        SharedSnapshotStore.__init__ = recording_init
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        from repro.serve.shard import SharedSnapshotStore
+
+        SharedSnapshotStore.__init__ = self._init
+
+    def leaked(self) -> List[str]:
+        from repro.serve.shard import system_segments
+
+        return sorted(
+            {name for prefix in self.prefixes for name in system_segments(prefix)}
+        )
+
+
 @pytest.fixture
 def shm_leak_sweep():
-    """Fail the test if it leaves ``rsh*`` segments behind in /dev/shm.
+    """Fail the test if its stores leave segments behind in /dev/shm.
 
-    Snapshots the repro-owned shared-memory namespace before the test
-    body and diffs it afterwards; any leftover segment names the test
-    created but never unlinked are reported verbatim.  When the runtime
-    leak tracker is armed (``REPRO_LEAKTRACK=1``) the failure message is
-    enriched with the allocation stack of each still-live tracked
-    resource, so the leak points at the acquiring line instead of at the
-    sweep.  Shard/serve test modules adopt this module-wide via an
-    autouse wrapper.
+    Every :class:`~repro.serve.shard.SharedSnapshotStore` created during
+    the test is recorded (:class:`StoreSegmentSweep`); any segment still
+    carrying one of their prefixes afterwards is reported verbatim.
+    When the runtime leak tracker is armed (``REPRO_LEAKTRACK=1``) the
+    failure message is enriched with the allocation stack of each
+    still-live tracked resource, so the leak points at the acquiring
+    line instead of at the sweep.  Shard/serve test modules adopt this
+    module-wide via an autouse wrapper.
     """
     from repro.analysis import leaktrack
-    from repro.serve.shard import list_repro_segments
 
-    before = set(list_repro_segments())
-    yield
-    leaked = sorted(set(list_repro_segments()) - before)
+    with StoreSegmentSweep() as sweep:
+        yield
+    leaked = sweep.leaked()
     if not leaked:
         return
     lines = ["test leaked shared-memory segments: " + ", ".join(leaked)]
@@ -43,6 +87,51 @@ def shm_leak_sweep():
                 f"{record.stack}"
             )
     pytest.fail("\n".join(lines))
+
+
+#: a chord of chain_with_cycle_graph's 6-cycle: inserting or deleting
+#: it changes no steiner-connectivity, so the spanning forest (and the
+#: published MST*) stays the same
+CYCLE_CHORD = (15, 18)
+
+
+def chain_with_cycle_graph():
+    """Cliques K5 - K4 - K6 (0..14) with a 6-cycle (15..20) off vertex 14.
+
+    A chord splits the cycle into two 4-cycles, but no subgraph gains a
+    third edge-disjoint path at every vertex, so every sc stays put;
+    any new edge between the cliques changes the tree.
+    """
+    graph = clique_chain_graph([5, 4, 6])
+    edges = list(graph.edges()) + [(14, 15)]
+    edges += [(15 + i, 15 + (i + 1) % 6) for i in range(6)]
+    return Graph.from_edges(edges, num_vertices=21)
+
+
+def publish_star_reuse(serving):
+    """Publish one chord insert that keeps the spanning forest.
+
+    Tries absent distance-2 pairs in a fixed order; a chord that moves
+    the tree is deleted again and published away.  Returns the reuse
+    publish's report and the chord, which the caller may delete to
+    undo the churn.
+    """
+    live = serving.publisher.index
+    mst = live.mst
+    for u in range(live.graph.num_vertices):
+        for via in sorted(live.graph.neighbors(u)):
+            for v in sorted(live.graph.neighbors(via)):
+                if v <= u or live.graph.has_edge(u, v):
+                    continue
+                version = mst.tree_version
+                serving.apply_updates(inserts=[(u, v)])
+                if mst.tree_version == version:
+                    report = serving.publish()
+                    assert report.mode == "delta"
+                    return report, (u, v)
+                serving.apply_updates(deletes=[(u, v)])
+                serving.publish()
+    raise AssertionError("no chord keeps the spanning forest")
 
 
 @pytest.fixture

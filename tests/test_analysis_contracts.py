@@ -210,10 +210,13 @@ class TestLemmaCheckers:
         _, mst = _paper_mst()
         star = build_mst_star(mst)
         assert mst_star_consistent(star, mst)
-        star.weights[star.num_leaves] += 1  # corrupt one internal node
+        star._rmq[0, 0] += 1  # corrupt one gap
         assert not mst_star_consistent(star, mst)
         star = build_mst_star(mst)
         star._rmq[1, 0] += 1  # corrupt one sparse-table entry
+        assert not mst_star_consistent(star, mst)
+        star = build_mst_star(mst)
+        star._runs[1, 0] += 1  # corrupt one run-table entry
         assert not mst_star_consistent(star, mst)
 
     def test_dinic_conservation_positive(self, enabled):

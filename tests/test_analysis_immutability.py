@@ -678,9 +678,9 @@ class TestFreezeGating:
         conn = build_connectivity_graph(g)
         mst = build_mst(conn)
         snap = capture_snapshot(conn, mst, generation=0)
-        assert type(snap.star._jump[0]) is list
         assert type(snap.star.leaf_order) is list
         assert snap.star._rmq.flags.writeable
+        assert snap.star._jump_table.flags.writeable
 
     def test_enabled_capture_freezes_snapshot(self, frozen_on):
         g = Graph(4)
@@ -689,11 +689,16 @@ class TestFreezeGating:
         conn = build_connectivity_graph(g)
         mst = build_mst(conn)
         snap = capture_snapshot(conn, mst, generation=0)
-        assert isinstance(snap.star._jump[0], FrozenList)
+        assert isinstance(snap.star.leaf_order, FrozenList)
         assert not snap.star._rmq.flags.writeable
+        assert not snap.star._jump_table.flags.writeable
         with pytest.raises(FrozenWriteError):
             snap.star.leaf_order.append(99)
-        with pytest.raises(FrozenWriteError):
+        with pytest.raises(ValueError, match="read-only"):
+            snap.star._jump_table[0, 0] = 99
+        # The climb's int views are read-only whether or not the
+        # freezer is armed.
+        with pytest.raises(TypeError):
             snap.star._jump[0][0] = 99
         # Queries still work: every family only reads the frozen arrays.
         assert snap.sc_pair(0, 1) >= 1

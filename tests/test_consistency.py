@@ -254,13 +254,13 @@ class TestServeTraceConsistency:
             # batch 0-convention never diverges from the raising path.
             if inserted and rng.random() < 0.5:
                 u, v = inserted.pop()
-                cached.delete_edge(u, v)
-                batched.delete_edge(u, v)
+                cached.apply_updates(deletes=[(u, v)])
+                batched.apply_updates(deletes=[(u, v)])
             else:
                 u, v = non_edges.pop()
                 inserted.append((u, v))
-                cached.insert_edge(u, v)
-                batched.insert_edge(u, v)
+                cached.apply_updates(inserts=[(u, v)])
+                batched.apply_updates(inserts=[(u, v)])
             cached.publish()
             batched.publish()
         assert answers_cached == answers_uncached

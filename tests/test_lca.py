@@ -1,54 +1,44 @@
 """The LCA/RMQ equivalence behind MST*'s gap table.
 
-MST* lists its leaves in DFS order and keeps one gap row,
-``gap[i] = weight(LCA(leaf_order[i], leaf_order[i + 1]))`` (0 across
-trees), under a sparse table.  A range minimum over the gaps between two
-leaves is then the weight of their LCA.  These tests check that against
-a naive ancestor-chain LCA on hand-built and random forests, and check
-that a delta snapshot's spliced gap row matches a from-scratch rebuild.
+MST* lists its leaves in Kruskal leaf-list order and keeps one gap
+row, ``gap[i] = weight(LCA(leaf_order[i], leaf_order[i + 1]))`` (0
+across trees), under a sparse table.  A range minimum over the gaps
+between two leaves is then the weight of their LCA, which is the
+minimum weight on their MST path (Lemma A.2).  These tests check that
+against a naive MST path walk on hand-built and random forests.
 """
 
 import random
 
-import numpy as np
 import pytest
 
-from repro import SMCCIndex
 from repro.errors import DisconnectedQueryError
-from repro.graph.generators import clique_chain_graph
-from repro.graph.graph import Graph
 from repro.index.mst import MSTIndex
 from repro.index.mst_star import build_mst_star
-from repro.serve import ServeConfig, ServingIndex
-from repro.serve.delta import DeltaStar
-
-
-def naive_lca(parents, u, v):
-    """Reference LCA by walking ancestor chains."""
-    anc = set()
-    x = u
-    while x >= 0:
-        anc.add(x)
-        x = parents[x]
-    x = v
-    while x >= 0:
-        if x in anc:
-            return x
-        x = parents[x]
-    return None
 
 
 def naive_sc(star, u, v):
-    """Weight of the naive LCA of two leaves; 0 across trees."""
-    node = naive_lca(star.parents, u, v)
-    return 0 if node is None else star.weights[node]
+    """Minimum weight on the MST path between two vertices; 0 across trees."""
+    path = star.mst.tree_path(u, v)
+    return 0 if path is None else min(w for _, _, w in path)
+
+
+class _Star:
+    """A star with the forest it was built from, for the naive reference."""
+
+    def __init__(self, mst):
+        self.mst = mst
+        self.star = build_mst_star(mst)
+
+    def __getattr__(self, name):
+        return getattr(self.star, name)
 
 
 def star_of(num_vertices, tree_edges):
     mst = MSTIndex(num_vertices)
     for u, v, w in tree_edges:
         mst.add_tree_edge(u, v, w)
-    return build_mst_star(mst)
+    return _Star(mst)
 
 
 def random_forest(n, num_trees, seed):
@@ -162,15 +152,15 @@ class TestRandomized:
                 assert star.steiner_connectivity(q) == expected
 
     def test_singleton_matches_parent_weight(self):
+        # A leaf's MST* parent is its heaviest incident MST edge.
         n = 40
         for seed in range(4):
             star = star_of(n, random_forest(n, 6, 99 + seed))
             batch = star.steiner_connectivity_batch([[v] for v in range(n)])
             for v in range(n):
-                parent = star.parents[v]
-                expected = star.weights[parent] if parent >= 0 else 0
+                expected = max(star.mst.tree_adj[v].values(), default=0)
                 assert batch[v] == expected, (seed, v)
-                if parent >= 0:
+                if expected:
                     assert star.steiner_connectivity([v, v]) == expected
                 else:
                     with pytest.raises(DisconnectedQueryError):
@@ -183,52 +173,3 @@ class TestRandomized:
             width = 1 << j
             for i in range(gap.shape[0] - width + 1):
                 assert star._rmq[j, i] == gap[i : i + width].min()
-
-
-class TestDeltaSplice:
-    def test_spliced_gaps_match_rebuild(self):
-        """Every delta publish of a seeded trace splices exact gaps.
-
-        Chords churn inside one clique of a clique chain at a time, so
-        regions stay a few leaves wide and most of the row lies outside
-        the splice; a region past half the graph falls back to a full
-        capture, which starts the next deltas from a fresh base.
-        """
-        sizes = [6, 5, 7, 4, 6]
-        cliques, first = [], 0
-        for size in sizes:
-            cliques.append(range(first, first + size))
-            first += size
-        rng = random.Random(23)
-        serving = ServingIndex.build(
-            clique_chain_graph(sizes),
-            config=ServeConfig(region_fraction_limit=0.5),
-        )
-        present = set(serving.snapshot().edges)
-        spliced = 0
-        for _ in range(40):
-            u, v = sorted(rng.sample(list(rng.choice(cliques)), 2))
-            if (u, v) in present:
-                serving.apply_updates(deletes=[(u, v)])
-                present.discard((u, v))
-            else:
-                serving.apply_updates(inserts=[(u, v)])
-                present.add((u, v))
-            snap = serving.publish().snapshot
-            star = snap.star
-            if not isinstance(star, DeltaStar):
-                continue
-            rebuilt_graph = Graph(snap.num_vertices)
-            for a, b in snap.edges:
-                rebuilt_graph.add_edge(a, b)
-            rebuilt = SMCCIndex.build(rebuilt_graph).mst_star
-            order = star.leaf_order
-            for i in range(star.region_start, star.region_end - 1):
-                expected = rebuilt.sc_pair(order[i], order[i + 1])
-                assert star.gap[i] == expected, (snap.generation, i)
-                spliced += 1
-            # Outside the splice the row is the base's, value for value.
-            outside = np.ones(star.gap.shape[0], dtype=bool)
-            outside[star.region_start : star.region_end - 1] = False
-            assert np.array_equal(star.gap[outside], star.base.gap[outside])
-        assert spliced > 0

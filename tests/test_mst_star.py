@@ -17,34 +17,51 @@ def star_for(graph):
 
 
 class TestStructure:
+    """Lemma A.1's shape, restated on the gap row.
+
+    MST* has one internal node per tree edge; on the gap row those are
+    the positive gaps, and the zero gaps separate trees.  A node's
+    subtree is its run, its parent the heavier boundary gap: weights
+    fall strictly toward the root, and every parent's run strictly
+    contains its child's.
+    """
+
     def test_node_counts(self):
         _, star = star_for(paper_example_graph())
-        # 13 leaves + 12 internal (one per tree edge)
+        # 13 leaves + 12 internal (one per tree edge, one gap each)
         assert star.num_leaves == 13
-        assert star.num_nodes == 25
+        assert star.gap.shape == (12,)
+        assert int((star.gap > 0).sum()) == 12
 
     def test_full_binary_tree_and_monotone_weights(self):
-        _, star = star_for(paper_example_graph())
-        star.validate()
+        mst, star = star_for(paper_example_graph())
+        star.validate(mst)
+        gap = star.gap
+        parent = star._jump_table[0]
+        for i, p in enumerate(parent.tolist()):
+            if p >= 0:
+                assert gap[p] < gap[i]
+                assert star._runs[0, p] <= star._runs[0, i]
+                assert star._runs[1, i] <= star._runs[1, p]
 
     def test_validate_on_random_graphs(self):
         for seed in range(6):
-            _, star = star_for(random_connected_graph(seed))
-            star.validate()
+            mst, star = star_for(random_connected_graph(seed))
+            star.validate(mst)
 
     def test_leaf_weights_zero_internal_positive(self):
-        _, star = star_for(paper_example_graph())
-        for node in range(star.num_leaves):
-            assert star.weights[node] == 0
-        for node in range(star.num_leaves, star.num_nodes):
-            assert star.weights[node] >= 1
-            assert star.tree_edge_of_node[node] is not None
+        mst, star = star_for(paper_example_graph())
+        # Each positive gap is a tree edge's weight; a connected graph
+        # has no zero gap, and the multiset of gaps is the tree's.
+        assert (star.gap >= 1).all()
+        assert sorted(star.gap.tolist()) == sorted(w for _, _, w in mst.tree_edges())
 
     def test_forest_input(self):
         graph = Graph.from_edges([(0, 1), (2, 3)], num_vertices=4)
-        _, star = star_for(graph)
-        assert star.num_nodes == 4 + 2
-        star.validate()
+        mst, star = star_for(graph)
+        assert star.gap.tolist().count(0) == 1  # two trees
+        assert int((star.gap > 0).sum()) == 2
+        star.validate(mst)
 
 
 class TestQueries:

@@ -3,7 +3,8 @@
 Every batched kernel must reproduce its scalar counterpart exactly —
 on every index engine, on singleton and duplicate-vertex queries, on
 cross-component pairs (where the batch convention answers 0 instead of
-raising), and through the delta-snapshot routing overlay.  The same
+raising), and on shared-memory views of full and star-reuse
+generations.  The same
 corpus runs under ``REPRO_FREEZE=1`` in CI, so the kernels must also
 work against deep-frozen (read-only) buffers.
 """
@@ -12,6 +13,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import publish_star_reuse
 
 import repro.index.mst as mst_mod
 from repro.core.queries import SMCCIndex
@@ -21,13 +23,10 @@ from repro.errors import (
     InfeasibleSizeConstraintError,
     VertexNotFoundError,
 )
-from repro.graph.generators import clique_chain_graph, gnm_random_graph, ssca_graph
+from repro.graph.generators import gnm_random_graph, ssca_graph
 from repro.graph.graph import Graph
-from repro.index.connectivity_graph import build_connectivity_graph
-from repro.index.mst import build_mst
 from repro.obs.stats import collect
 from repro.serve import ServeConfig, ServingIndex
-from repro.serve.delta import DeltaStar
 
 
 def _two_component_graph(seed: int) -> Graph:
@@ -239,58 +238,8 @@ class TestHybridExtraction:
             assert stats.vertices_touched == len(result)
 
 
-class TestDeltaStarRouting:
-    def _delta_snapshot(self):
-        serving = ServingIndex.build(
-            clique_chain_graph([6, 5, 7]),
-            config=ServeConfig(region_fraction_limit=1.0),
-        )
-        serving.apply_updates(inserts=[(1, 7)])
-        report = serving.publish()
-        assert report.mode == "delta"
-        return report.snapshot
-
-    def test_batches_route_through_patch(self):
-        snap = self._delta_snapshot()
-        star = snap.star
-        assert isinstance(star, DeltaStar) and star.region_end > star.region_start
-        n = snap.num_vertices
-        rng = random.Random(41)
-        us, vs = [], []
-        while len(us) < 200:
-            u, v = rng.randrange(n), rng.randrange(n)
-            if u != v:
-                us.append(u)
-                vs.append(v)
-        got = snap.sc_pairs_batch(us, vs)
-        for u, v, g in zip(us, vs, got):
-            assert g == star.sc_pair(u, v)
-        queries = [
-            tuple(rng.randrange(n) for _ in range(rng.randint(1, 4)))
-            for _ in range(200)
-        ]
-        got_q = snap.steiner_connectivity_batch(queries)
-        for q, g in zip(queries, got_q):
-            assert g == star.steiner_connectivity(q)
-
-    def test_smcc_l_matches_rebuilt_walk(self):
-        # The delta's gap-run climb against Algorithm 5 on a
-        # from-scratch rebuild of the same generation.
-        snap = self._delta_snapshot()
-        graph = Graph.from_edges(snap.edges, num_vertices=snap.num_vertices)
-        reference = build_mst(build_connectivity_graph(graph))
-        for q in ([1, 7], [1], [0, 12], [3, 9, 14]):
-            for bound in (1, 2, 5, 8, 13, 18):
-                result = snap.smcc_l(q, bound)
-                vertices, k = reference.smcc_l(q, bound)
-                assert sorted(result.vertices) == sorted(vertices), (q, bound)
-                assert result.connectivity == k, (q, bound)
-
-
 class TestBatchPlannerIntegration:
-    def test_execute_batch_matches_per_query(self):
-        from repro.serve.planner import execute_batch, plan_batch
-
+    def test_sc_batch_matches_per_query(self):
         graph = _two_component_graph(47)
         serving = ServingIndex.build(graph)
         snap = serving.snapshot()
@@ -300,15 +249,22 @@ class TestBatchPlannerIntegration:
             [rng.randrange(n) for _ in range(rng.randint(1, 4))]
             for _ in range(150)
         ] + [[n - 1]]  # isolated singleton -> 0 under the batch convention
-        answers = execute_batch(snap, plan_batch(queries))
-        assert answers == snap.steiner_connectivity_batch(queries)
+        expected = []
+        for q in queries:
+            try:
+                expected.append(snap.steiner_connectivity(q))
+            except DisconnectedQueryError:
+                expected.append(0)
+        assert serving.sc_batch(queries) == expected
+        # Cache hits and misses mixed: the answers do not move.
+        assert serving.sc_batch(queries[::-1]) == expected[::-1]
 
 
 class TestSharedMemoryViewDifferential:
     """The shm-mapped view answers byte-identically to the snapshot.
 
     Same corpus discipline as the batch kernels: every engine, full and
-    delta generations, all four served families, cross-component
+    star-reuse generations, all four served families, cross-component
     queries, and exception parity (the view must raise the same typed
     error the in-process snapshot raises).  Runs under ``REPRO_FREEZE=1``
     in the CI shard job, so the export path must also read deep-frozen
@@ -345,10 +301,7 @@ class TestSharedMemoryViewDifferential:
         assert view.steiner_connectivity_batch(queries) == (
             snap.steiner_connectivity_batch(queries)
         )
-        from repro.serve.planner import execute_batch, plan_batch
-
-        plan = plan_batch(queries)
-        assert view.sc_batch(queries) == execute_batch(snap, plan)
+        assert view.sc_batch(queries) == snap.steiner_connectivity_batch(queries)
         for q in queries[:12]:
             for call, ref in (
                 (lambda q=q: view.smcc(list(q)),
@@ -381,7 +334,6 @@ class TestSharedMemoryViewDifferential:
             store.publish_snapshot(snap)
             view = SharedSnapshotView.attach(prefix, 0)
             try:
-                assert view.kind == "full"
                 assert tuple(map(tuple, view.edges)) == snap.edges
                 self._assert_view_matches(
                     view, snap, graph.num_vertices, 23
@@ -400,21 +352,15 @@ class TestSharedMemoryViewDifferential:
         with SharedSnapshotStore() as store:
             store.publish_snapshot(serving.snapshot())
             serving.publisher.set_exporter(store.publish_snapshot)
-            # An intra-island chord publishes as a copy-on-write delta.
-            u, v = 0, graph.num_vertices // 4
-            had_edge = graph.has_edge(u, v)
-            if had_edge:
-                serving.apply_updates(deletes=[(u, v)])
-            else:
-                serving.apply_updates(inserts=[(u, v)])
+            chord = None
             try:
-                report = serving.publish()
+                # A chord that keeps the forest publishes a star reuse.
+                report, chord = publish_star_reuse(serving)
                 snap = serving.snapshot()
                 view = SharedSnapshotView.attach(
                     store.prefix, report.generation
                 )
                 try:
-                    assert view.kind == report.mode
                     self._assert_view_matches(
                         view, snap, graph.num_vertices, 29
                     )
@@ -423,10 +369,8 @@ class TestSharedMemoryViewDifferential:
             finally:
                 serving.publisher.set_exporter(None)
                 # The engine fixture is module-scoped: undo the churn.
-                if had_edge:
-                    serving.apply_updates(inserts=[(u, v)])
-                else:
-                    serving.apply_updates(deletes=[(u, v)])
+                if chord is not None:
+                    serving.apply_updates(deletes=[chord])
 
     def test_view_matches_under_freezer(self, engine_index):
         from repro.analysis import freeze

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from conftest import random_connected_graph
+from conftest import CYCLE_CHORD, chain_with_cycle_graph, random_connected_graph
 
 from repro.core.queries import SMCCIndex
 from repro.errors import (
@@ -27,9 +27,10 @@ from repro.serve import (
     UpdateReport,
     canonical_query,
     capture_snapshot,
-    execute_batch,
+    named_buffers,
     plan_batch,
     run_serve_workload,
+    shared_fraction,
 )
 from repro.serve.workload import reader_queries
 
@@ -257,10 +258,9 @@ class TestBatchPlanner:
         assert plan.probes_saved == 3
 
     def test_batch_matches_per_query_answers(self, paper_index):
-        snap = capture_snapshot(paper_index.conn_graph, paper_index.mst, 0)
+        serving = ServingIndex(paper_index)
         queries = [[0, 3, 4], [1, 2], [5, 6, 7], [0], [10, 11, 12], [4, 3, 0]]
-        plan = plan_batch(queries)
-        got = execute_batch(snap, plan)
+        got = serving.sc_batch(queries)
         expected = [paper_index.steiner_connectivity(q) for q in queries]
         assert got == expected
 
@@ -268,9 +268,8 @@ class TestBatchPlanner:
         # Two cliques, bridge removed: cross-component queries answer 0.
         graph = clique_chain_graph([4, 4])
         graph.remove_edge(0, 4)  # the bridge joins the clique anchors
-        index = SMCCIndex.build(graph)
-        snap = capture_snapshot(index.conn_graph, index.mst, 0)
-        answers = execute_batch(snap, plan_batch([[0, 5], [0, 1], [4, 5]]))
+        serving = ServingIndex.build(graph)
+        answers = serving.sc_batch([[0, 5], [0, 1], [4, 5]])
         assert answers[0] == 0
         assert answers[1] == 3 and answers[2] == 3
 
@@ -279,11 +278,13 @@ class TestBatchPlanner:
             plan_batch([[1, 2], []])
 
     def test_unknown_vertex_raises(self, paper_index):
-        snap = capture_snapshot(paper_index.conn_graph, paper_index.mst, 0)
+        serving = ServingIndex(paper_index)
         with pytest.raises(VertexNotFoundError):
-            execute_batch(snap, plan_batch([[0, 999]]))
+            serving.sc_batch([[0, 999]])
         with pytest.raises(VertexNotFoundError):
-            execute_batch(snap, plan_batch([[999]]))
+            serving.sc_batch([[999]])
+        with pytest.raises(EmptyQueryError):
+            serving.sc_batch([[1, 2], []])
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +325,7 @@ class TestServingIndex:
         fresh = SMCCIndex.build(paper_example_graph())
         q = [0, 3, 4]
         before = serving.sc(q)
-        serving.insert_edge(0, 12)
+        serving.apply_updates(inserts=[(0, 12)])
         # Unpublished: the served answer is the old generation's.
         assert serving.sc(q) == before
         assert serving.staleness() == 1
@@ -338,7 +339,7 @@ class TestServingIndex:
         serving = ServingIndex.build(paper_graph)
         old = serving.snapshot()
         before = old.steiner_connectivity([0, 3, 4])
-        serving.insert_edge(0, 12)
+        serving.apply_updates(inserts=[(0, 12)])
         serving.publish()
         assert serving.snapshot().generation == 1
         assert old.generation == 0
@@ -351,7 +352,7 @@ class TestServingIndex:
             for q in queries:
                 assert serving.sc(q) == \
                     serving.snapshot().steiner_connectivity(q)
-        serving.delete_edge(0, 1)
+        serving.apply_updates(deletes=[(0, 1)])
         serving.publish()
         for q in queries:
             assert serving.sc(q) == serving.snapshot().steiner_connectivity(q)
@@ -393,7 +394,7 @@ class TestServingIndex:
 
     def test_stale_index_degrades_to_direct_engine(self, paper_graph):
         serving = ServingIndex.build(paper_graph)
-        serving.insert_edge(0, 12)  # not published: snapshot is stale
+        serving.apply_updates(inserts=[(0, 12)])  # not published: snapshot is stale
         fresh = SMCCIndex.build(paper_example_graph())
         fresh.insert_edge(0, 12)
         q = [0, 11, 12]
@@ -407,7 +408,7 @@ class TestServingIndex:
 
     def test_degraded_smcc_and_smcc_l(self, paper_graph):
         serving = ServingIndex.build(paper_graph)
-        serving.delete_edge(0, 1)
+        serving.apply_updates(deletes=[(0, 1)])
         fresh = SMCCIndex.build(paper_example_graph())
         fresh.delete_edge(0, 1)
         got = serving.smcc([0, 3, 4], max_staleness=0)
@@ -421,7 +422,7 @@ class TestServingIndex:
     def test_degraded_batch_answers_zero_for_disconnected(self):
         graph = clique_chain_graph([4, 4])
         serving = ServingIndex.build(graph)
-        serving.delete_edge(0, 4)  # cut the bridge: two components, stale
+        serving.apply_updates(deletes=[(0, 4)])  # cut the bridge: two components, stale
         answers = serving.sc_batch([[0, 1], [0, 5]], max_staleness=0)
         assert answers[0] == 3 and answers[1] == 0
 
@@ -429,9 +430,9 @@ class TestServingIndex:
         serving = ServingIndex.build(
             paper_graph, config=ServeConfig(auto_publish_every=2)
         )
-        serving.insert_edge(0, 12)
+        serving.apply_updates(inserts=[(0, 12)])
         assert serving.generation == 0
-        serving.delete_edge(0, 12)
+        serving.apply_updates(deletes=[(0, 12)])
         assert serving.generation == 1  # second update triggered publish
         assert serving.staleness() == 0
 
@@ -447,7 +448,7 @@ class TestServingIndex:
             paper_graph, config=ServeConfig(invalidation="wholesale")
         )
         serving.sc([10, 11, 12])
-        serving.insert_edge(0, 12)
+        serving.apply_updates(inserts=[(0, 12)])
         serving.publish()
         assert len(serving.cache) == 0  # everything dropped
 
@@ -462,7 +463,7 @@ class TestServingIndex:
         near = [9, 10]      # inside the K6 (vertices 9..14)
         serving.sc(far)
         serving.sc(near)
-        serving.delete_edge(9, 10)
+        serving.apply_updates(deletes=[(9, 10)])
         serving.publish()
         stats = serving.cache.stats()
         assert stats["carried_over"] >= 1
@@ -536,26 +537,22 @@ class TestWriterApi:
         assert report.snapshot.generation == 1
         assert 0.0 <= report.shared_fraction <= 1.0
 
-    def test_insert_delete_edge_deprecated_but_working(self, paper_graph):
+    def test_insert_delete_edge_shims_removed(self, paper_graph):
+        # The one-release grace is over: apply_updates is the writer API.
         serving = ServingIndex.build(paper_graph)
-        with pytest.warns(DeprecationWarning, match="insert_edge"):
-            serving.insert_edge(0, 12)
-        with pytest.warns(DeprecationWarning, match="delete_edge"):
-            serving.delete_edge(0, 12)
-        assert serving.staleness() == 2  # both updates landed
+        for target in (serving, serving.publisher):
+            assert not hasattr(target, "insert_edge")
+            assert not hasattr(target, "delete_edge")
 
-    def test_publish_report_forwards_snapshot_attrs_with_warning(
+    def test_publish_report_no_longer_forwards_snapshot_attrs(
         self, paper_graph
     ):
         serving = ServingIndex.build(paper_graph)
         serving.apply_updates(inserts=[(0, 12)])
         report = serving.publish()
-        with pytest.warns(DeprecationWarning, match="publish"):
-            edges = report.edges  # old callers treated this as a snapshot
-        assert edges == report.snapshot.edges
-        with pytest.warns(DeprecationWarning, match="publish"):
-            assert report.steiner_connectivity([0, 3, 4]) == \
-                report.snapshot.steiner_connectivity([0, 3, 4])
+        with pytest.raises(AttributeError):
+            report.edges  # noqa: B018 - read it through report.snapshot
+        assert report.snapshot.edges
 
     def test_serving_index_positional_config_deprecated(self, paper_graph):
         index = SMCCIndex.build(paper_graph)
@@ -576,15 +573,45 @@ class TestWriterApi:
         with pytest.raises(TypeError):
             QueryCache(8, 3, "extra")
 
-    def test_no_delta_config_forces_full_captures(self, paper_graph):
-        serving = ServingIndex.build(
-            paper_graph, config=ServeConfig(delta_publish=False)
-        )
+    def test_delta_publish_config_deprecated_and_ignored(self):
+        with pytest.warns(DeprecationWarning, match="delta_publish"):
+            config = ServeConfig(delta_publish=False)
+        # Ignored: an unchanged spanning forest still reuses the star.
+        serving = ServingIndex.build(chain_with_cycle_graph(), config=config)
+        serving.apply_updates(inserts=[CYCLE_CHORD])
+        assert serving.publish().mode == "delta"
+
+    def test_forest_change_captures_fully(self, paper_graph):
+        serving = ServingIndex.build(paper_graph)
+        before = serving.snapshot()
         serving.apply_updates(inserts=[(0, 12)])
         report = serving.publish()
         assert report.mode == "full"
         assert report.shared_fraction == 0.0
         assert report.region_size == report.snapshot.num_vertices
+        assert report.snapshot.star is not before.star
+
+    def test_unchanged_forest_reuses_the_star(self):
+        serving = ServingIndex.build(chain_with_cycle_graph())
+        before = serving.snapshot()
+        serving.apply_updates(inserts=[CYCLE_CHORD])
+        report = serving.publish()
+        assert report.mode == "delta"
+        assert report.region_size == 0
+        assert report.snapshot.star is before.star
+        assert report.snapshot.edges != before.edges
+        # Every star buffer is shared; the edge log is the new one.
+        shared = [
+            name
+            for name, buf in named_buffers(report.snapshot).items()
+            if buf is named_buffers(before)[name]
+        ]
+        assert sorted(shared) == sorted(
+            name for name in named_buffers(before) if name != "edges"
+        )
+        assert report.shared_fraction == shared_fraction(
+            before, report.snapshot
+        ) == len(shared) / (len(shared) + 1)
 
 
 # ----------------------------------------------------------------------
@@ -600,7 +627,7 @@ class TestServeMetrics:
             serving.sc([0, 3, 4])
             serving.sc([0, 3, 4])
             serving.sc_batch([[1, 2], [2, 1]])
-            serving.insert_edge(0, 12)
+            serving.apply_updates(inserts=[(0, 12)])
             serving.sc([5, 6], max_staleness=0)
             serving.publish()
             with pytest.raises(DeadlineExceededError):

@@ -3,7 +3,7 @@
 Covers the layers below the cross-process model suite
 (``test_serve_stateful.py``) and the fault-injection matrix
 (``test_errors_and_failure_injection.py``): the manifest wire codec,
-the generation-head seqlock, store refcounting across delta
+the generation-head seqlock, store refcounting across star-reuse
 re-pointing, retirement/unlink discipline (the leak invariants), view
 lifecycle, worker-pool lifecycle, and the gateway's admission-control
 propagation.
@@ -22,7 +22,7 @@ import zlib
 
 import numpy as np
 import pytest
-from conftest import random_connected_graph
+from conftest import CYCLE_CHORD, chain_with_cycle_graph, random_connected_graph
 
 from repro.errors import (
     DeadlineExceededError,
@@ -66,12 +66,28 @@ def serving():
     )
 
 
+@pytest.fixture
+def reuse_serving():
+    """A serving index whose CYCLE_CHORD write keeps the spanning forest."""
+    return ServingIndex.build(chain_with_cycle_graph())
+
+
+def _publish_reuse(serving, store):
+    """Export generation 0, then publish the chord as a star reuse."""
+    doc0 = store.publish_snapshot(serving.snapshot())
+    serving.publisher.set_exporter(store.publish_snapshot)
+    serving.apply_updates(inserts=[CYCLE_CHORD])
+    report = serving.publish()
+    serving.publisher.set_exporter(None)
+    assert report.mode == "delta"
+    return doc0, report
+
+
 def _minimal_full_doc():
-    """The smallest manifest the validator accepts (kind=full)."""
+    """The smallest manifest the validator accepts."""
     buffers = ["star." + s for s in _STAR_SUFFIXES] + ["edges"]
     return {
         "generation": 3,
-        "kind": "full",
         "num_vertices": 7,
         "num_edges": 9,
         "segments": {
@@ -116,6 +132,22 @@ class TestManifestCodec:
     def test_short_segment_rejected(self):
         with pytest.raises(ManifestError, match="shorter than its header"):
             _decode_manifest(b"RS", "t")
+
+    def test_version_three_manifest_rejected(self):
+        # A well-formed manifest of the node-tree layout: version 3,
+        # with a kind and the star.parents / interval / jump buffers.
+        doc = _minimal_full_doc()
+        doc["kind"] = "full"
+        for i, name in enumerate(("star.parents", "star.interval_start")):
+            doc["segments"][name] = {
+                "segment": f"rshXt{i}", "dtype": "int64", "shape": [7],
+            }
+        payload = json.dumps(doc, sort_keys=True).encode("utf-8")
+        raw = _MANIFEST_HEADER.pack(
+            _MANIFEST_MAGIC, 3, len(payload), zlib.crc32(payload)
+        ) + payload
+        with pytest.raises(ManifestError, match="unsupported manifest version 3"):
+            _decode_manifest(raw, "t")
 
     def test_version_two_manifest_rejected(self):
         # A well-formed manifest of the previous layout: version 2, with
@@ -210,23 +242,23 @@ class TestHeadReaderLifecycle:
 
 
 class TestStoreRefcounting:
-    def test_delta_repoints_base_segments_by_name(self, serving):
+    def test_delta_repoints_base_segments_by_name(self, reuse_serving):
         with SharedSnapshotStore() as store:
-            doc0 = store.publish_snapshot(serving.snapshot())
-            serving.publisher.set_exporter(store.publish_snapshot)
-            serving.apply_updates(inserts=[(1, 6)])
-            report = serving.publish()
-            serving.publisher.set_exporter(None)
-            assert report.mode == "delta"
-            doc1 = read_manifest(store.prefix, 1)
-            # Untouched base buffers are re-pointed, not re-copied.
-            for buffer in ("star.parents", "star.jump", "star.rmq"):
+            doc0, report = _publish_reuse(reuse_serving, store)
+            doc1 = read_manifest(store.prefix, report.generation)
+            # Every generation exports the same buffer set.
+            assert set(doc1["segments"]) == set(doc0["segments"])
+            # The reused star is re-pointed, not re-copied; only the
+            # edge log is new.
+            for buffer in ("star." + suffix for suffix in _STAR_SUFFIXES):
                 assert (
                     doc1["segments"][buffer]["segment"]
                     == doc0["segments"][buffer]["segment"]
                 ), buffer
-            # The patch overlay is delta-only.
-            assert any(b.startswith("patch.") for b in doc1["segments"])
+            assert (
+                doc1["segments"]["edges"]["segment"]
+                != doc0["segments"]["edges"]["segment"]
+            )
 
     def test_publish_retires_older_generations(self, serving):
         with SharedSnapshotStore() as store:
@@ -302,14 +334,18 @@ class TestViewLifecycle:
             view = SharedSnapshotView.attach(store.prefix, 0)
             try:
                 with pytest.raises(ValueError):
-                    view.star.parents[0] = -1
+                    view.star.gap[0] = -1
+                with pytest.raises(TypeError):
+                    view.star._run_start[0] = -1
                 for name, arr in view._arrays.items():
                     assert not arr.flags.writeable, name
             finally:
                 view.close()
 
-    def test_delta_view_close_unmaps_every_segment_without_gc(self, serving):
-        """A delta view holds its mapped arrays in no reference cycle.
+    def test_delta_view_close_unmaps_every_segment_without_gc(
+        self, reuse_serving
+    ):
+        """A star-reuse view holds its mapped arrays in no reference cycle.
 
         With the collector off, close() must still free every ndarray
         over the mapped buffers before it unmaps them: an array kept
@@ -318,14 +354,8 @@ class TestViewLifecycle:
         up unmapped.
         """
         with SharedSnapshotStore() as store:
-            store.publish_snapshot(serving.snapshot())
-            serving.publisher.set_exporter(store.publish_snapshot)
-            serving.apply_updates(inserts=[(1, 6)])
-            report = serving.publish()
-            serving.publisher.set_exporter(None)
-            assert report.mode == "delta"
+            _, report = _publish_reuse(reuse_serving, store)
             view = SharedSnapshotView.attach(store.prefix, report.generation)
-            assert view.kind == "delta"
             snap = report.snapshot
             assert view.sc([1, 6]) == snap.steiner_connectivity([1, 6])
             assert view.sc_batch([[1, 6], [0]]) == (
@@ -372,10 +402,10 @@ class TestViewLifecycle:
                 view.close()
                 assert star.gap.tolist() == snap.star.gap.tolist()
                 assert star.sc_pair(0, 12) == snap.sc_pair(0, 12)
-                # The star keeps its eight buffers mapped; the edge log
+                # The star keeps its five buffers mapped; the edge log
                 # had no array left, so its segment unmapped at close.
                 mapped = [shm for shm in segments if shm.buf is not None]
-                assert len(mapped) == len(segments) - 1 == 8
+                assert len(mapped) == len(segments) - 1 == 5
                 del star
                 assert all(shm.buf is None for shm in segments)
                 assert not leaktrack.live(label_prefixes=("attached:",))
@@ -490,3 +520,43 @@ def _current_graph(serving):
         for u, v in index.graph.edges():
             graph.add_edge(u, v)
     return graph
+
+
+class TestLeakSweep:
+    """The zero-leak sweep sees only the stores its own test created."""
+
+    def test_reports_only_segments_of_stores_created_in_the_window(self):
+        import uuid
+
+        from conftest import StoreSegmentSweep
+
+        foreign = f"rsh{uuid.uuid4().hex[:8]}"
+        # Another process on the host leaves an rsh* segment behind
+        # mid-window (unregistered, so its exit does not unlink it).
+        create = textwrap.dedent(
+            f"""
+            from multiprocessing import resource_tracker, shared_memory
+
+            shm = shared_memory.SharedMemory(
+                name={foreign!r}, create=True, size=8
+            )
+            resource_tracker.unregister(shm._name, "shared_memory")
+            shm.close()
+            """
+        )
+        store = None
+        try:
+            with StoreSegmentSweep() as sweep:
+                subprocess.run([sys.executable, "-c", create], check=True)
+                store = SharedSnapshotStore()
+            assert system_segments(foreign) == [foreign]
+            # The store was created in the window and never closed: its
+            # head segment is reported; the foreign segment is not.
+            assert sweep.leaked() == [f"{store.prefix}head"]
+            store.close()
+            assert sweep.leaked() == []
+        finally:
+            if store is not None:
+                store.close()
+            if system_segments(foreign):
+                os.unlink(os.path.join("/dev/shm", foreign))

@@ -25,14 +25,13 @@ import threading
 from typing import Dict, List, Optional, Tuple
 
 import pytest
-from conftest import random_connected_graph
+from conftest import CYCLE_CHORD, chain_with_cycle_graph, random_connected_graph
 
 from repro.core.queries import SMCCIndex
 from repro.errors import DisconnectedQueryError, InfeasibleSizeConstraintError
 from repro.graph.generators import clique_chain_graph
 from repro.graph.graph import Graph
 from repro.serve import QueryCache, ServeConfig, ServingIndex
-from repro.serve.delta import DeltaStar
 
 @pytest.fixture(autouse=True)
 def _zero_leak(shm_leak_sweep):
@@ -166,7 +165,7 @@ def _run_reader(
 def _check_edge_log(serving: ServingIndex, report) -> None:
     """The publisher's incremental edge log is the live sorted edge set.
 
-    Full and delta captures both publish ``tuple(_edges_list)`` instead
+    Full captures and star reuses both publish ``tuple(_edges_list)`` instead
     of re-sorting the graph, so after every publish that list — and the
     snapshot's ``edges`` — must equal ``sorted(graph.edges())``.
     """
@@ -233,16 +232,13 @@ def _run_round(
     """One interleaving; returns the number of verified answers."""
     graph = random_connected_graph(seed * 31 + 7, min_n=min_n, max_n=max_n)
     if config is None:
-        # Rotate invalidation strategies so both are raced, and rotate
-        # delta publishing so the block mixes copy-on-write and full
-        # captures; lift the region fraction limit to stress both the
-        # patch-overlay snapshots and cache carry-over as hard as
+        # Rotate invalidation strategies so both are raced; lift the
+        # region fraction limit to stress cache carry-over as hard as
         # possible.
         config = ServeConfig(
             cache_capacity=64,
             invalidation="region" if seed % 3 else "wholesale",
             region_fraction_limit=1.0,
-            delta_publish=bool(seed % 2),
         )
     serving = ServingIndex.build(graph, config=config)
     gen_edges: Dict[int, Tuple[Edge, ...]] = {0: serving.snapshot().edges}
@@ -302,9 +298,8 @@ def test_serve_stateful_interleavings(block):
             block * INTERLEAVINGS_PER_BLOCK + offset, modes=modes
         )
     assert verified > 0  # every round produced and verified answers
-    # The block raced both publish modes: rounds with delta publishing
-    # disabled always capture full snapshots, and the delta-enabled
-    # rounds produced at least one copy-on-write publish.
+    # The block raced both publish modes: writes that moved the tree
+    # captured full snapshots, and writes that did not reused the star.
     assert modes.get("full", 0) > 0, modes
     assert modes.get("delta", 0) > 0, modes
 
@@ -382,43 +377,48 @@ def _check_snapshot_against_rebuild(snap, queries) -> None:
 
 
 def test_alternating_delta_and_full_publishes_match_rebuild():
-    """Deterministic delta/full alternation on one serving index.
+    """Deterministic reuse/full alternation on one serving index.
 
-    Fresh chords between cliques keep the spanning tree connected, so
-    with the fraction limit lifted the region graft succeeds and the
-    publisher emits copy-on-write deltas; dropping a bridge disconnects
-    the graph, so no subtree graft is sound at any node and the
-    publisher falls back to a full capture.  Every published generation
-    — whichever mode produced it — must agree with an index rebuilt
-    from scratch on that generation's edge log.
+    The cycle chord changes no steiner-connectivity, so its insert and
+    delete keep the spanning forest and the publisher reuses the star
+    (mode ``"delta"``); fresh chords between cliques, and dropping the
+    bridge that disconnects the graph, move the tree and publish a
+    full capture.  Every published generation — whichever mode
+    produced it — must agree with an index rebuilt from scratch on
+    that generation's edge log.
     """
-    queries = ([0, 1], [1, 2, 3], [5, 6], [9, 10, 11], [0, 9], [2, 13])
+    queries = (
+        [0, 1], [1, 2, 3], [5, 6], [9, 10, 11], [0, 9], [2, 13],
+        [15, 18], [16, 17, 20], [14, 19],
+    )
     serving = ServingIndex.build(
-        clique_chain_graph([5, 4, 6]),
+        chain_with_cycle_graph(),
         config=ServeConfig(region_fraction_limit=1.0),
     )
     modes: List[str] = []
+
+    def publish_and_check():
+        report = serving.publish()
+        modes.append(report.mode)
+        _check_edge_log(serving, report)
+        _check_snapshot_against_rebuild(report.snapshot, queries)
+
     for u, v in ((1, 6), (2, 7), (3, 10), (6, 11)):
-        # Small-region churn: insert then delete a fresh chord.
-        for batch in ({"inserts": [(u, v)]}, {"deletes": [(u, v)]}):
+        for batch in (
+            {"inserts": [CYCLE_CHORD]},
+            {"inserts": [(u, v)]},
+            {"deletes": [CYCLE_CHORD]},
+            {"deletes": [(u, v)]},
+        ):
             report_u = serving.apply_updates(**batch)
             assert report_u.num_applied == 1 and report_u.num_noops == 0
-            report = serving.publish()
-            modes.append(report.mode)
-            _check_edge_log(serving, report)
-            _check_snapshot_against_rebuild(report.snapshot, queries)
+            publish_and_check()
         # Structural churn: drop the K5-K4 bridge (disconnects), then
-        # restore it.  Both publishes must fall back soundly.
+        # restore it.
         serving.apply_updates(deletes=[(0, 5)])
-        report = serving.publish()
-        modes.append(report.mode)
-        _check_edge_log(serving, report)
-        _check_snapshot_against_rebuild(report.snapshot, queries)
+        publish_and_check()
         serving.apply_updates(inserts=[(0, 5)])
-        report = serving.publish()
-        modes.append(report.mode)
-        _check_edge_log(serving, report)
-        _check_snapshot_against_rebuild(report.snapshot, queries)
+        publish_and_check()
         # The caching facade agrees with the current snapshot.
         for q in queries:
             try:
@@ -427,47 +427,39 @@ def test_alternating_delta_and_full_publishes_match_rebuild():
                 expected = None
             if expected is not None:
                 assert serving.sc(list(q)) == expected
-    assert "delta" in modes, modes
+    assert modes.count("delta") == 8, modes  # every cycle-chord write
     assert "full" in modes, modes
 
 
 def test_delta_publish_shares_untouched_buffers():
-    """Untouched arrays are the *same objects* across generations."""
+    """A star reuse shares every star buffer: the *same objects*."""
     from repro.serve import named_buffers, shared_fraction
 
-    serving = ServingIndex.build(
-        clique_chain_graph([5, 4, 6]),
-        config=ServeConfig(region_fraction_limit=1.0),
-    )
+    serving = ServingIndex.build(chain_with_cycle_graph())
     prev = serving.snapshot()
-    serving.apply_updates(inserts=[(1, 6)])
+    serving.apply_updates(inserts=[CYCLE_CHORD])
     report = serving.publish()
     assert report.mode == "delta"
-    assert report.shared_fraction >= 0.5
     assert shared_fraction(prev, report.snapshot) == report.shared_fraction
     before = named_buffers(prev)
     after = named_buffers(report.snapshot)
-    for name in before:
-        if name.startswith("star.") and name != "star.rmq":
-            # The delta overlays a patch star; every base buffer it
-            # routes to is the generation-0 object itself, not a copy.
-            assert after[name] is before[name], name
-    # sc reads the delta's own spliced gap table, and the edge log is
-    # fresh per snapshot; nothing else is per-generation — a snapshot
-    # carries no MST working copy (no read path walks one).
-    assert after["star.rmq"] is not before["star.rmq"]
-    assert after["edges"] is not before["edges"]
     assert sorted(after) == sorted(before)
+    for name in before:
+        if name.startswith("star."):
+            assert after[name] is before[name], name
+    # The edge log is the one per-generation buffer; a snapshot
+    # carries no MST working copy (no read path walks one).
+    assert after["edges"] is not before["edges"]
     assert not [name for name in after if name.startswith("mst.")]
-    assert report.shared_fraction == 8 / 10
+    assert report.shared_fraction == 5 / 6
 
 
 def test_delta_publish_under_freezer_stays_read_only():
     """REPRO_FREEZE: shared buffers survive re-freezing and stay frozen.
 
     Arms the freezer programmatically (as the CI serve job does via the
-    environment), publishes a delta, and checks that (a) sharing by
-    object identity survived the re-freeze — the freezer returns
+    environment), publishes a star reuse, and checks that (a) sharing
+    by object identity survived the re-freeze — the freezer returns
     already-frozen containers unchanged instead of re-wrapping them —
     and (b) writes into shared buffers still raise at the call site.
     """
@@ -478,27 +470,26 @@ def test_delta_publish_under_freezer_stays_read_only():
     if not was_enabled:
         freeze.enable()
     try:
-        serving = ServingIndex.build(
-            clique_chain_graph([5, 4, 6]),
-            config=ServeConfig(region_fraction_limit=1.0),
-        )
+        serving = ServingIndex.build(chain_with_cycle_graph())
         prev = serving.snapshot()
-        serving.apply_updates(inserts=[(1, 6)])
+        serving.apply_updates(inserts=[CYCLE_CHORD])
         report = serving.publish()
         assert report.mode == "delta"
         assert report.shared_fraction >= 0.5
         before = named_buffers(prev)
         after = named_buffers(report.snapshot)
         assert after["star.jump"] is before["star.jump"]
-        assert after["star.parents"] is before["star.parents"]
+        assert after["star.leaf_order"] is before["star.leaf_order"]
         with pytest.raises(freeze.FrozenWriteError):
-            after["star.parents"][0] = -1
-        with pytest.raises(freeze.FrozenWriteError):
-            after["star.jump"][0][0] = 99
-        with pytest.raises(ValueError, match="read-only"):
-            after["star.rmq"][0, 0] = 99
+            after["star.leaf_order"][0] = -1
+        with pytest.raises(TypeError):
+            report.snapshot.star._jump[0][0] = 99
+        for name in ("star.rmq", "star.runs", "star.jump"):
+            with pytest.raises(ValueError, match="read-only"):
+                after[name][0, 0] = 99
         _check_snapshot_against_rebuild(
-            report.snapshot, ([0, 1], [1, 6], [9, 10, 11], [2, 13])
+            report.snapshot,
+            ([0, 1], [1, 6], [9, 10, 11], [2, 13], [15, 18], [16, 19]),
         )
     finally:
         if not was_enabled:
@@ -521,6 +512,8 @@ class _TwinCache:
         self.serving: Optional[ServingIndex] = None
         #: live touch encoding -> puts, as ("interval" | "set", kind, mode)
         self.puts: Dict[Tuple[str, str, str], int] = {}
+        #: the star each generation served, to tell star reuses apart
+        self.stars: Dict[int, object] = {}
         self.carried = 0
         self.dropped = 0
 
@@ -531,6 +524,7 @@ class _TwinCache:
         assert self.serving is not None
         snapshot = self.serving.snapshot()
         assert snapshot.generation == generation  # sequential replay
+        self.stars.setdefault(generation, snapshot.star)
         vertex_touch = _vertex_touch(snapshot, key, value)
         if isinstance(touch, tuple):
             leaf_position, start, end = touch
@@ -546,11 +540,18 @@ class _TwinCache:
         tag = (
             "set" if isinstance(touch, frozenset) else "interval",
             key[0],
-            "delta" if isinstance(snapshot.star, DeltaStar) else "full",
+            "delta"
+            if any(
+                star is snapshot.star
+                for g, star in self.stars.items()
+                if g < generation
+            )
+            else "full",
         )
         self.puts[tag] = self.puts.get(tag, 0) + 1
 
     def advance(self, new_generation, affected=None):
+        self.stars.setdefault(new_generation, self.serving.snapshot().star)
         before = _resident_keys(self.live)
         dropped = self.live.advance(new_generation, affected)
         assert self.reference.advance(new_generation, affected) == dropped
@@ -605,11 +606,7 @@ def _replay_twin(seed: int, monkeypatch, ops: int = 60) -> _TwinCache:
     monkeypatch.setattr(serving_module, "QueryCache", _TwinCache)
     serving = ServingIndex.build(
         graph,
-        config=ServeConfig(
-            cache_capacity=64,
-            region_fraction_limit=1.0,
-            delta_publish=seed % 8 != 0,
-        ),
+        config=ServeConfig(cache_capacity=64, region_fraction_limit=1.0),
     )
     monkeypatch.undo()
     twin = serving.cache
@@ -676,8 +673,7 @@ def test_interval_and_vertex_set_touches_carry_the_same_entries(monkeypatch):
     Replays seeded traces through two caches fed the same puts — one
     storing the serving layer's leaf-interval touches, one storing the
     equivalent explicit vertex sets — and requires the same carried
-    key set after every advance, across full and delta generations and
-    across ``smcc_l`` answered by the MST walk on delta generations.
+    key set after every advance, across full and star-reuse generations.
     """
     carried = dropped = 0
     puts: Dict[Tuple[str, str, str], int] = {}
@@ -809,7 +805,6 @@ def _run_shard_round(
     config = ServeConfig(
         invalidation="region" if seed % 3 else "wholesale",
         region_fraction_limit=1.0,
-        delta_publish=bool(seed % 2),
     )
     serving = ServingIndex.build(graph, config=config)
     gen_edges: Dict[int, Tuple[Edge, ...]] = {0: serving.snapshot().edges}
