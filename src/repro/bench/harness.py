@@ -509,27 +509,6 @@ def ablations(profile="quick", dataset: str = "SSCA1") -> Table:
 # ----------------------------------------------------------------------
 # The whole evaluation
 # ----------------------------------------------------------------------
-def _build_bench(profile="quick") -> Table:
-    """Serial-vs-parallel build comparison (emits BENCH_build.json)."""
-    from repro.bench.build_bench import build_bench
-
-    return build_bench(profile)
-
-
-def _serve_bench(profile="quick") -> Table:
-    """Concurrent serving throughput (emits BENCH_serve.json)."""
-    from repro.bench.serve_bench import serve_bench
-
-    return serve_bench(profile)
-
-
-def _query_bench(profile="quick") -> Table:
-    """Scalar-vs-batched query kernels (emits BENCH_query.json)."""
-    from repro.bench.query_bench import query_bench
-
-    return query_bench(profile)
-
-
 EXPERIMENTS: Dict[str, Callable[..., Table]] = {
     "table1_table2": table1_table2,
     "table3": table3,
@@ -544,9 +523,6 @@ EXPERIMENTS: Dict[str, Callable[..., Table]] = {
     "table10": table10,
     "table11": table11,
     "ablations": ablations,
-    "build_bench": _build_bench,
-    "serve_bench": _serve_bench,
-    "query_bench": _query_bench,
 }
 
 

@@ -20,7 +20,6 @@ on the next sc query.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -43,32 +42,6 @@ from repro.obs.stats import QueryStats, profiled_query
 from repro.obs.timing import monotonic
 
 PathLike = Union[str, os.PathLike]
-
-
-def _positional_shim(
-    method: str, names: Tuple[str, ...], args: Tuple, stacklevel: int = 3
-) -> Dict[str, object]:
-    """Map deprecated positional option arguments onto their keywords.
-
-    The option arguments of the :class:`SMCCIndex` surface are
-    keyword-only as of this release; positional callers get one release
-    of grace with a :class:`DeprecationWarning` before the shim is
-    removed.
-    """
-    if len(args) > len(names):
-        raise TypeError(
-            f"{method}() takes at most {len(names)} option argument(s) "
-            f"({len(args)} given)"
-        )
-    mapped = dict(zip(names, args))
-    warnings.warn(
-        f"passing {'/'.join(sorted(mapped))} positionally to {method}() is "
-        "deprecated and will become an error in a future release; "
-        "pass keyword arguments instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return mapped
 
 
 @dataclass(frozen=True)
@@ -196,7 +169,7 @@ class SMCCIndex:
     def build(
         cls,
         graph: Graph,
-        *args,
+        *,
         method: str = "sharing",
         engine: str = "exact",
         with_star: bool = True,
@@ -213,13 +186,6 @@ class SMCCIndex:
         serial).  With ``with_star=False`` the MST* structure is built
         lazily on the first sc query.  Options are keyword-only.
         """
-        if args:
-            overrides = _positional_shim(
-                "SMCCIndex.build", ("method", "engine", "with_star"), args
-            )
-            method = overrides.get("method", method)
-            engine = overrides.get("engine", engine)
-            with_star = overrides.get("with_star", with_star)
         with span("index.build") as build_span:
             with span("index.build.connectivity_graph"):
                 conn = build_connectivity_graph(
@@ -260,12 +226,8 @@ class SMCCIndex:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def steiner_connectivity(self, q: Sequence[int], *args, method: str = "star") -> int:
+    def steiner_connectivity(self, q: Sequence[int], *, method: str = "star") -> int:
         """``sc(q)``: O(|q|) with ``method="star"``, O(|T_q|) with ``"walk"``."""
-        if args:
-            method = _positional_shim(
-                "SMCCIndex.steiner_connectivity", ("method",), args
-            ).get("method", method)
         if method == "star":
             if _obs.REGISTRY is None and _obs.get_active_stats() is None:
                 return self.mst_star.steiner_connectivity(q)
@@ -305,15 +267,12 @@ class SMCCIndex:
             sc, start, end = self.mst_star.smcc_interval(q)
         return SMCCInterval(self.mst_star, sc, start, end, query_stats=stats)
 
-    def smcc_l(self, q: Sequence[int], *args, size_bound: Optional[int] = None) -> SMCCResult:
+    def smcc_l(self, q: Sequence[int], *, size_bound: int) -> SMCCResult:
         """The SMCC_L of ``q`` — O(|q| + log |V|) via the MST* climb.
 
         Falls back to Algorithm 5's O(result) prioritized search when
         the MST* is unavailable; see :func:`~repro.core.smcc_l.smcc_l_opt`.
         """
-        size_bound = self._required_option(
-            "SMCCIndex.smcc_l", "size_bound", size_bound, args
-        )
         if _obs.REGISTRY is None and _obs.get_active_stats() is None:
             vertices, k = smcc_l_opt(self.mst, q, size_bound, mst_star=self.mst_star)
             return SMCCResult(vertices, k)
@@ -322,24 +281,18 @@ class SMCCIndex:
         return SMCCResult(vertices, k, query_stats=stats)
 
     def steiner_connectivity_with_size(
-        self, q: Sequence[int], *args, size_bound: Optional[int] = None
+        self, q: Sequence[int], *, size_bound: int
     ) -> int:
         """Connectivity of the SMCC_L (Section 7)."""
-        size_bound = self._required_option(
-            "SMCCIndex.steiner_connectivity_with_size", "size_bound", size_bound, args
-        )
         if _obs.REGISTRY is None and _obs.get_active_stats() is None:
             return steiner_connectivity_with_size(self.mst, q, size_bound)
         with profiled_query("sc_with_size", query_size=len(q)), span("query.sc_with_size"):
             return steiner_connectivity_with_size(self.mst, q, size_bound)
 
     def subset_smcc(
-        self, q: Sequence[int], *args, cover_bound: Optional[int] = None
+        self, q: Sequence[int], *, cover_bound: int
     ) -> SMCCResult:
         """Max-connectivity component containing >= ``cover_bound`` of ``q``."""
-        cover_bound = self._required_option(
-            "SMCCIndex.subset_smcc", "cover_bound", cover_bound, args
-        )
         if _obs.REGISTRY is None and _obs.get_active_stats() is None:
             vertices, k = subset_smcc(self.mst, q, cover_bound)
             return SMCCResult(vertices, k)
@@ -350,12 +303,9 @@ class SMCCIndex:
         return SMCCResult(vertices, k, query_stats=stats)
 
     def smcc_cover(
-        self, q: Sequence[int], *args, num_components: Optional[int] = None
+        self, q: Sequence[int], *, num_components: int
     ) -> List[SMCCResult]:
         """``num_components`` components jointly covering ``q`` (Section 7)."""
-        num_components = self._required_option(
-            "SMCCIndex.smcc_cover", "num_components", num_components, args
-        )
         if _obs.REGISTRY is None and _obs.get_active_stats() is None:
             return [
                 SMCCResult(vertices, k)
@@ -366,19 +316,6 @@ class SMCCIndex:
         ):
             pieces = smcc_cover(self.mst, q, num_components)
         return [SMCCResult(vertices, k, query_stats=stats) for vertices, k in pieces]
-
-    @staticmethod
-    def _required_option(method: str, name: str, value, args: Tuple):
-        """Resolve a required keyword-only option, honouring the shim."""
-        if args:
-            # One extra frame (this helper) between the caller and the warn.
-            override = _positional_shim(method, (name,), args, stacklevel=4)
-            if value is not None:
-                raise TypeError(f"{method}() got multiple values for argument {name!r}")
-            value = override.get(name)
-        if value is None:
-            raise TypeError(f"{method}() missing required keyword-only argument: {name!r}")
-        return value
 
     def sc_pair(self, u: int, v: int) -> int:
         """Steiner-connectivity of a vertex pair in O(1)."""
@@ -486,7 +423,7 @@ class SMCCIndex:
     # ------------------------------------------------------------------
     # Integrity checking
     # ------------------------------------------------------------------
-    def verify(self, *args, sample_pairs: int = 64, seed: int = 0) -> "VerifyReport":
+    def verify(self, *, sample_pairs: int = 64, seed: int = 0) -> "VerifyReport":
         """Self-check the index; raises :class:`IndexStateError` on damage.
 
         Validates, in order: graph ↔ connectivity-graph synchronization,
@@ -498,12 +435,6 @@ class SMCCIndex:
         persisted index or applying a long update sequence.  Returns a
         :class:`VerifyReport` summarizing the evidence checked.
         """
-        if args:
-            overrides = _positional_shim(
-                "SMCCIndex.verify", ("sample_pairs", "seed"), args
-            )
-            sample_pairs = overrides.get("sample_pairs", sample_pairs)
-            seed = overrides.get("seed", seed)
         import random as _random
 
         from repro.errors import IndexStateError
@@ -604,12 +535,8 @@ class SMCCIndex:
         save_mst(self.mst, os.path.join(directory, "mst.npz"))
 
     @classmethod
-    def load(cls, directory: PathLike, *args, engine: str = "exact") -> "SMCCIndex":
+    def load(cls, directory: PathLike, *, engine: str = "exact") -> "SMCCIndex":
         """Load an index saved by :meth:`save`."""
-        if args:
-            engine = _positional_shim("SMCCIndex.load", ("engine",), args).get(
-                "engine", engine
-            )
         from repro.index.persistence import load_connectivity_graph, load_mst
 
         with span("index.load"):

@@ -17,9 +17,9 @@ labels (author names, product SKUs, ...), and run every query of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
-from repro.core.queries import SMCCIndex, SMCCResult, _positional_shim
+from repro.core.queries import SMCCIndex, SMCCResult
 from repro.errors import VertexNotFoundError
 from repro.graph.graph import Graph
 
@@ -122,12 +122,8 @@ class LabeledSMCCIndex:
 
     # ------------------------------------------------------------------
     def steiner_connectivity(
-        self, q: Sequence[Hashable], *args, method: str = "star"
+        self, q: Sequence[Hashable], *, method: str = "star"
     ) -> int:
-        if args:
-            method = _positional_shim(
-                "LabeledSMCCIndex.steiner_connectivity", ("method",), args
-            ).get("method", method)
         return self.index.steiner_connectivity(self.labels.ids_of(q), method=method)
 
     def sc_pair(self, a: Hashable, b: Hashable) -> int:
@@ -137,31 +133,22 @@ class LabeledSMCCIndex:
         return self._translate(self.index.smcc(self.labels.ids_of(q)))
 
     def smcc_l(
-        self, q: Sequence[Hashable], *args, size_bound: Optional[int] = None
+        self, q: Sequence[Hashable], *, size_bound: int
     ) -> LabeledSMCCResult:
-        size_bound = SMCCIndex._required_option(
-            "LabeledSMCCIndex.smcc_l", "size_bound", size_bound, args
-        )
         return self._translate(
             self.index.smcc_l(self.labels.ids_of(q), size_bound=size_bound)
         )
 
     def subset_smcc(
-        self, q: Sequence[Hashable], *args, cover_bound: Optional[int] = None
+        self, q: Sequence[Hashable], *, cover_bound: int
     ) -> LabeledSMCCResult:
-        cover_bound = SMCCIndex._required_option(
-            "LabeledSMCCIndex.subset_smcc", "cover_bound", cover_bound, args
-        )
         return self._translate(
             self.index.subset_smcc(self.labels.ids_of(q), cover_bound=cover_bound)
         )
 
     def smcc_cover(
-        self, q: Sequence[Hashable], *args, num_components: Optional[int] = None
+        self, q: Sequence[Hashable], *, num_components: int
     ) -> List[LabeledSMCCResult]:
-        num_components = SMCCIndex._required_option(
-            "LabeledSMCCIndex.smcc_cover", "num_components", num_components, args
-        )
         return [
             self._translate(result)
             for result in self.index.smcc_cover(

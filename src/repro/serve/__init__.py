@@ -13,13 +13,13 @@ The serving layer turns the single-threaded, mutable
   previous MST* by identity, any other publish captures it fully;
 - :class:`UpdateReport` / :class:`PublishReport` — structured results
   of the ``apply_updates`` / ``publish`` writer surface;
-- :func:`plan_batch` — canonical batch queries (the cache keys of
-  batched sc) and their probe-overlap count;
+- :func:`plan_batch` — canonical batch queries and their
+  probe-overlap count;
 - :class:`ServingIndex` — the facade tying those together with
   per-query deadlines and staleness-triggered degradation to the
   direct online engine;
 - :func:`run_serve_workload` — the threaded workload driver behind
-  ``repro serve --workload`` and ``BENCH_serve.json``;
+  ``repro serve --workload``;
 - :class:`SharedSnapshotStore` / :class:`WorkerPool` /
   :class:`ShardGateway` / :func:`run_shard_workload` — the sharded
   multi-process tier: snapshot generations published once into

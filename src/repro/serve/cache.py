@@ -68,7 +68,6 @@ from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple, U
 
 from repro.analysis.freeze import maybe_deep_freeze
 from repro.analysis.tsan import monitored, new_lock
-from repro.core.queries import _positional_shim
 
 __all__ = ["CacheEntry", "QueryCache", "Touch", "canonical_query"]
 
@@ -122,16 +121,7 @@ class CacheEntry:
 class QueryCache:
     """A thread-safe, generation-aware LRU mapping query keys to answers."""
 
-    def __init__(
-        self, *args: object, capacity: int = 4096, generation: int = 0
-    ) -> None:
-        if args:
-            # One-release shim: capacity/generation used to be positional.
-            mapped = _positional_shim(
-                "QueryCache", ("capacity", "generation"), args
-            )
-            capacity = mapped.get("capacity", capacity)  # type: ignore[assignment]
-            generation = mapped.get("generation", generation)  # type: ignore[assignment]
+    def __init__(self, *, capacity: int = 4096, generation: int = 0) -> None:
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity

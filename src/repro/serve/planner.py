@@ -1,8 +1,8 @@
 """Batch planning: canonical queries and the pairwise probe count.
 
-:func:`plan_batch` canonicalizes every query of a batch (sorted unique
-vertices), which is the form the serving cache keys batched ``sc``
-answers by, and counts the pairwise ``(min(q), v)`` LCA probes a
+:func:`canonicalize` turns every query of a batch into its sorted
+unique vertices, the form the serving cache keys batched ``sc``
+answers by.  :func:`plan_batch` also counts the pairwise ``(min(q), v)`` LCA probes a
 per-pair evaluation would issue against the distinct ones the batch
 needs (:attr:`BatchPlan.probes_saved`) — a measure of how much a batch
 overlaps.
@@ -19,7 +19,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import EmptyQueryError
 
-__all__ = ["BatchPlan", "plan_batch"]
+__all__ = ["BatchPlan", "canonicalize", "plan_batch"]
 
 Probe = Tuple[int, int]
 
@@ -51,17 +51,21 @@ class BatchPlan:
         return self.probes_requested - len(self.probes)
 
 
+def canonicalize(queries: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
+    """Each query as its sorted unique vertices; raises on an empty one."""
+    canonical = [tuple(sorted(set(q))) for q in queries]
+    if not all(canonical):
+        raise EmptyQueryError("query vertex set is empty")
+    return canonical
+
+
 def plan_batch(queries: Sequence[Sequence[int]]) -> BatchPlan:
     """Canonicalize ``queries`` and compute the distinct probe set."""
-    canonical: List[Tuple[int, ...]] = []
+    canonical = canonicalize(queries)
     probe_set: Dict[Probe, None] = {}
     singleton_set: Dict[int, None] = {}
     requested = 0
-    for q in queries:
-        cq = tuple(sorted(set(q)))
-        if not cq:
-            raise EmptyQueryError("query vertex set is empty")
-        canonical.append(cq)
+    for cq in canonical:
         if len(cq) == 1:
             singleton_set[cq[0]] = None
             continue

@@ -31,13 +31,13 @@ from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.tsan import monitored, new_lock
 from repro.baselines import sc_baseline, smcc_baseline, smcc_l_baseline
-from repro.core.queries import SMCCIndex, SMCCResult, _positional_shim
+from repro.core.queries import SMCCIndex, SMCCResult
 from repro.errors import DeadlineExceededError, DisconnectedQueryError
 from repro.graph.graph import Graph
 from repro.obs import runtime as _obs
 from repro.obs.timing import monotonic
-from repro.serve.cache import QueryCache, Touch, canonical_query
-from repro.serve.planner import plan_batch
+from repro.serve.cache import CacheKey, QueryCache, Touch, canonical_query
+from repro.serve.planner import canonicalize
 from repro.serve.publisher import SnapshotPublisher
 from repro.serve.reports import PublishReport, UpdateReport
 from repro.serve.snapshot import IndexSnapshot
@@ -129,13 +129,9 @@ class ServingIndex:
     def __init__(
         self,
         index: SMCCIndex,
-        *args: object,
+        *,
         config: Optional[ServeConfig] = None,
     ) -> None:
-        if args:
-            # One-release shim: config used to be accepted positionally.
-            mapped = _positional_shim("ServingIndex", ("config",), args)
-            config = mapped.get("config", config)  # type: ignore[assignment]
         self.config = config or ServeConfig()  # guarded-by: immutable-after-publish
         # guarded-by: immutable-after-publish
         self.publisher = SnapshotPublisher(index)
@@ -211,9 +207,8 @@ class ServingIndex:
         Invalidate the result cache per affected tree region when the
         region stayed small (and region invalidation is configured),
         wholesale otherwise.  Returns the publisher's
-        :class:`~repro.serve.reports.PublishReport`; for one release
-        the report also forwards snapshot attribute reads behind a
-        ``DeprecationWarning``.
+        :class:`~repro.serve.reports.PublishReport`; read the published
+        generation through its ``snapshot``.
         """
         report = self.publisher.publish()
         if report.mode == "noop":
@@ -353,8 +348,9 @@ class ServingIndex:
     ) -> List[int]:
         """Batched ``sc``: cache hits, then one vectorized kernel call.
 
-        Queries are canonicalized by :func:`plan_batch` (the cache
-        keys); the misses go to
+        Queries are canonicalized by
+        :func:`~repro.serve.planner.canonicalize` (the cache keys); the
+        misses go to
         :meth:`~repro.index.mst_star.MSTStar.steiner_connectivity_batch`
         in one call.  Answers align with ``queries``; a query spanning
         multiple connected components answers 0 (the batch convention)
@@ -365,31 +361,30 @@ class ServingIndex:
             if self._needs_direct(max_staleness):
                 return [self._direct_sc(q, deadline, batch=True) for q in queries]
             snapshot = self.snapshot()
-            plan = plan_batch(queries)
-            answers: List[int] = [0] * len(plan.queries)
-            uncached: List[Tuple[int, Tuple[int, ...]]] = []
-            for i, cq in enumerate(plan.queries):
-                entry = self.cache.get(
-                    canonical_query("sc", cq), snapshot.generation
-                )
+            canonical = canonicalize(queries)
+            answers: List[int] = [0] * len(canonical)
+            uncached: List[Tuple[int, Tuple[int, ...], CacheKey]] = []
+            for i, cq in enumerate(canonical):
+                key = canonical_query("sc", cq)
+                entry = self.cache.get(key, snapshot.generation)
                 if entry is not None:
                     self._count("serve.cache.hit")
                     answers[i] = entry.value  # type: ignore[assignment]
                 else:
                     self._count("serve.cache.miss")
-                    uncached.append((i, cq))
+                    uncached.append((i, cq, key))
             deadline.check()
             if uncached:
                 values = snapshot.steiner_connectivity_batch(
-                    [cq for _, cq in uncached]
+                    [cq for _, cq, _ in uncached]
                 )
-                for (i, cq), value in zip(uncached, values):
+                for (i, cq, key), value in zip(uncached, values):
                     answers[i] = value
                     if value > 0:
                         # 0 = disconnected/isolated: the per-query path
                         # raises there, so the conventions would clash.
                         self.cache.put(
-                            canonical_query("sc", cq),
+                            key,
                             value,
                             snapshot.generation,
                             self._touch(snapshot, cq, value),

@@ -37,8 +37,8 @@ processes map them zero-copy:
   degrade to the in-process direct path), retries on a sibling when a
   worker crashes, and aggregates per-worker ``serve.shard.*`` metrics;
 - :func:`run_shard_workload` is the asyncio load driver behind
-  ``repro serve --workers N`` and the scaling curves in
-  ``BENCH_serve.json``.
+  ``repro serve --workers N`` and the scaling curve in
+  ``BENCH_shard.json``.
 
 Generation handoff: the store maintains a tiny *head* segment holding
 the newest generation number behind a seqlock (single writer, many

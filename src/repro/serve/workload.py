@@ -1,10 +1,10 @@
 """Threaded serving workloads: N readers vs one writer, no sleeps.
 
 Drives a :class:`~repro.serve.serving.ServingIndex` with a fully seeded
-mixed workload — the engine behind ``repro serve --workload`` and the
-``BENCH_serve.json`` throughput experiment.  Synchronization is purely
-event-based (a start barrier, thread joins); nothing in here waits on
-wall-clock time, so runs are schedule-dependent but never sleep-flaky.
+mixed workload — the engine behind ``repro serve --workload``.
+Synchronization is purely event-based (a start barrier, thread joins);
+nothing in here waits on wall-clock time, so runs are
+schedule-dependent but never sleep-flaky.
 
 Each reader owns a deterministic query stream derived from
 ``seed + reader id``; the writer applies a delete/re-insert churn over

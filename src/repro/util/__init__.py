@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from repro.util.bucket_queue import EdgeBuckets, MaxBucketQueue
-from repro.util.disjoint_set import DisjointSet, DisjointSetWithRoot
+from repro.util.disjoint_set import DisjointSet
 
 __all__ = [
     "DisjointSet",
-    "DisjointSetWithRoot",
     "MaxBucketQueue",
     "EdgeBuckets",
 ]

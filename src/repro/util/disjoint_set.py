@@ -1,22 +1,13 @@
-"""Disjoint-set (union-find) structures.
+"""Disjoint-set (union-find) with union by rank and path compression.
 
-Two variants are provided:
-
-- :class:`DisjointSet` — the textbook structure with union by rank and path
-  compression, used by Kruskal's algorithm and by the k-edge connected
-  component engines for super-vertex bookkeeping.
-- :class:`DisjointSetWithRoot` — the modified structure described in the
-  paper's Appendix A.2 for building the MST* index in linear time: each
-  set additionally carries an application-defined "attached root" (for
-  MST* construction, the current root node of the corresponding MST*
-  subtree), while unions remain free to pick the representative by rank.
+Used by Kruskal's algorithm and by the k-edge connected component
+engines for super-vertex bookkeeping.  The MST* build inlines its own
+union-find (see :func:`repro.index.mst_star.leaf_order_and_gaps`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-from repro.errors import InternalInvariantError
+from typing import List
 
 
 class DisjointSet:
@@ -81,45 +72,3 @@ class DisjointSet:
             by_root.setdefault(self.find(x), []).append(x)
         return list(by_root.values())
 
-
-class DisjointSetWithRoot:
-    """Union-find whose sets each carry an *attached root* payload.
-
-    This is the modified disjoint-set structure of the paper's Appendix
-    A.2: MST* construction must attach the new edge-type node as the root
-    of the merged MST* subtree, but a plain union-by-rank structure cannot
-    designate an arbitrary node as representative without losing the rank
-    optimization.  Instead, each set representative stores a pointer
-    (``attached``) to the actual MST* root of that set, and unions stay
-    free to pick either representative by rank.  ``find_root(v)`` then
-    returns the MST* root of the tree containing ``v`` in amortized
-    inverse-Ackermann time, giving the O(|V|) total bound of Algorithm 12.
-    """
-
-    __slots__ = ("_ds", "attached")
-
-    def __init__(self, n: int) -> None:
-        self._ds = DisjointSet(n)
-        # By default every element is its own attached root.
-        self.attached: List[Optional[int]] = list(range(n))
-
-    def __len__(self) -> int:
-        return len(self._ds)
-
-    def find(self, x: int) -> int:
-        return self._ds.find(x)
-
-    def find_root(self, x: int) -> int:
-        """Return the attached root payload of the set containing ``x``."""
-        root = self.attached[self._ds.find(x)]
-        if root is None:
-            raise InternalInvariantError(
-                f"set of element {x} has no attached root; "
-                "union_with_root bookkeeping was bypassed"
-            )
-        return root
-
-    def union_with_root(self, x: int, y: int, new_root: int) -> None:
-        """Merge the sets of ``x`` and ``y`` and attach ``new_root`` to the result."""
-        self._ds.union(x, y)
-        self.attached[self._ds.find(x)] = new_root

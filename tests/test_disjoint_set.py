@@ -1,8 +1,8 @@
-"""Unit tests for the union-find structures."""
+"""Unit tests for the union-find structure."""
 
 import pytest
 
-from repro.util.disjoint_set import DisjointSet, DisjointSetWithRoot
+from repro.util.disjoint_set import DisjointSet
 
 
 class TestDisjointSet:
@@ -53,23 +53,3 @@ class TestDisjointSet:
         assert all(ds.find(i) == root for i in range(100))
         assert ds.set_count == 1
 
-
-class TestDisjointSetWithRoot:
-    def test_initial_attached_roots_are_self(self):
-        ds = DisjointSetWithRoot(3)
-        assert [ds.find_root(i) for i in range(3)] == [0, 1, 2]
-
-    def test_union_with_root_attaches_payload(self):
-        ds = DisjointSetWithRoot(4)
-        ds.union_with_root(0, 1, new_root=100)
-        assert ds.find_root(0) == 100
-        assert ds.find_root(1) == 100
-        assert ds.find_root(2) == 2
-
-    def test_chained_unions_track_latest_root(self):
-        # Mirrors MST* construction: payloads are fresh internal node ids.
-        ds = DisjointSetWithRoot(4)
-        ds.union_with_root(0, 1, 10)
-        ds.union_with_root(2, 3, 11)
-        ds.union_with_root(0, 3, 12)
-        assert all(ds.find_root(i) == 12 for i in range(4))

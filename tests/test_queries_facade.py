@@ -146,24 +146,19 @@ class TestPersistenceFacade:
 
 
 class TestKeywordOnlyOptions:
-    """Option arguments are keyword-only; positional use warns for one
-    release (the shim forwards the values unchanged), then becomes an
-    error."""
+    """Option arguments are keyword-only: positional use is a TypeError."""
 
-    def test_positional_method_warns_but_works(self, paper_index):
-        with pytest.warns(DeprecationWarning, match="passing method positionally"):
-            value = paper_index.steiner_connectivity([0, 3], "walk")
-        assert value == paper_index.steiner_connectivity([0, 3], method="walk")
+    def test_positional_method_rejected(self, paper_index):
+        with pytest.raises(TypeError, match="positional"):
+            paper_index.steiner_connectivity([0, 3], "walk")
 
-    def test_positional_size_bound_warns_but_works(self, paper_index):
-        with pytest.warns(DeprecationWarning, match="size_bound positionally"):
-            result = paper_index.smcc_l([0, 3], 6)
-        assert len(result) == 9
+    def test_positional_size_bound_rejected(self, paper_index):
+        with pytest.raises(TypeError, match="positional"):
+            paper_index.smcc_l([0, 3], 6)
 
-    def test_positional_build_options_warn(self, paper_graph):
-        with pytest.warns(DeprecationWarning, match="passing method positionally"):
-            index = SMCCIndex.build(paper_graph, "sharing")
-        assert index.steiner_connectivity([0, 3]) == 4
+    def test_positional_build_options_rejected(self, paper_graph):
+        with pytest.raises(TypeError, match="positional"):
+            SMCCIndex.build(paper_graph, "sharing")
 
     def test_keyword_form_is_silent(self, paper_index):
         with warnings.catch_warnings():
@@ -176,16 +171,12 @@ class TestKeywordOnlyOptions:
             paper_index.smcc_l([0, 3])
 
     def test_size_bound_given_twice_rejected(self, paper_index):
-        with pytest.raises(TypeError, match="size_bound"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                paper_index.smcc_l([0, 3], 6, size_bound=6)
+        with pytest.raises(TypeError, match="positional"):
+            paper_index.smcc_l([0, 3], 6, size_bound=6)
 
     def test_too_many_positionals_rejected(self, paper_index):
         with pytest.raises(TypeError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                paper_index.steiner_connectivity([0, 3], "walk", "extra")
+            paper_index.steiner_connectivity([0, 3], "walk", "extra")
 
 
 class TestReprAndReports:

@@ -507,7 +507,7 @@ class TestServingIndex:
 
 
 # ----------------------------------------------------------------------
-# Writer API: apply_updates / publish reports and the deprecation shims
+# Writer API: apply_updates / publish reports and the retired shims
 # ----------------------------------------------------------------------
 class TestWriterApi:
     def test_apply_updates_reports_applied_and_noops(self, paper_graph):
@@ -554,24 +554,20 @@ class TestWriterApi:
             report.edges  # noqa: B018 - read it through report.snapshot
         assert report.snapshot.edges
 
-    def test_serving_index_positional_config_deprecated(self, paper_graph):
+    def test_serving_index_positional_config_rejected(self, paper_graph):
         index = SMCCIndex.build(paper_graph)
         config = ServeConfig(cache_capacity=16)
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            serving = ServingIndex(index, config)
-        assert serving.config.cache_capacity == 16
         with pytest.raises(TypeError):
-            ServingIndex(index, config, "extra")
+            ServingIndex(index, config)
+        assert ServingIndex(index, config=config).config.cache_capacity == 16
 
-    def test_query_cache_positional_args_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            cache = QueryCache(8)
-        assert cache.capacity == 8
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            cache = QueryCache(8, 3)
-        assert cache.generation == 3
+    def test_query_cache_positional_args_rejected(self):
         with pytest.raises(TypeError):
-            QueryCache(8, 3, "extra")
+            QueryCache(8)
+        with pytest.raises(TypeError):
+            QueryCache(8, 3)
+        cache = QueryCache(capacity=8, generation=3)
+        assert (cache.capacity, cache.generation) == (8, 3)
 
     def test_delta_publish_config_deprecated_and_ignored(self):
         with pytest.warns(DeprecationWarning, match="delta_publish"):
