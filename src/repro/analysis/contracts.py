@@ -26,19 +26,17 @@ read and ``@postcondition`` wrappers add one boolean check per call.
 from __future__ import annotations
 
 import functools
-import os
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, TypeVar, Union
 
 from repro.errors import ContractViolationError, InternalInvariantError
+from repro.util.env import env_flag
 
 F = TypeVar("F", bound=Callable[..., Any])
 
-_FALSY = frozenset({"", "0", "false", "off", "no"})
-
 
 def _read_env() -> bool:
-    return os.environ.get("REPRO_CHECK_INVARIANTS", "").strip().lower() not in _FALSY
+    return env_flag("REPRO_CHECK_INVARIANTS")
 
 
 _enabled: bool = _read_env()

@@ -32,9 +32,10 @@ keep working; only the mutating surface raises.
 
 from __future__ import annotations
 
-import os
 import types
 from typing import Any, Callable, Dict, FrozenSet, Optional
+
+from repro.util.env import env_flag
 
 __all__ = [
     "FrozenWriteError",
@@ -48,9 +49,7 @@ __all__ = [
     "enabled",
 ]
 
-_FALSY = frozenset({"", "0", "false", "off", "no"})
-
-_ENABLED = os.environ.get("REPRO_FREEZE", "").strip().lower() not in _FALSY
+_ENABLED = env_flag("REPRO_FREEZE")
 
 
 class FrozenWriteError(RuntimeError):

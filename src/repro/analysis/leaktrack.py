@@ -30,7 +30,6 @@ or programmatically with :func:`enable` / :func:`disable` (tests).
 from __future__ import annotations
 
 import itertools
-import os
 import threading  # repro-lint: ignore[threading-outside-serve]
 import traceback
 from dataclasses import dataclass
@@ -43,6 +42,8 @@ from typing import (
     Optional,
     Tuple,
 )
+
+from repro.util.env import env_flag
 
 __all__ = [
     "LeakError",
@@ -57,8 +58,7 @@ __all__ = [
     "sweep",
 ]
 
-_FALSY = frozenset({"", "0", "false", "off", "no"})
-_ENABLED = os.environ.get("REPRO_LEAKTRACK", "").strip().lower() not in _FALSY
+_ENABLED = env_flag("REPRO_LEAKTRACK")
 
 
 def enable() -> None:

@@ -11,6 +11,9 @@ full-structure recomputation:
 - :func:`tq_min_weight_matches` — Lemma 4.5: the incremental LCA walk
   (Algorithm 10) returns the minimum weight on the steiner tree
   ``T_q``, recomputed here by an independent full-BFS method.
+- :func:`local_input_is_weight_k` — Lemmas 5.2–5.4: index maintenance
+  feeds its local KECC run exactly the weight-k edges of ``g_{u,v}``,
+  checked against the full induced-edge enumeration.
 - :func:`is_partition` — the k-ECC engines return a partition of the
   vertex set (Lemma 4.6's precondition for the pruned BFS).
 - :func:`mst_star_consistent` — Lemma A.1/A.2: every MST* gap is the
@@ -134,6 +137,35 @@ def is_partition(groups: Sequence[Sequence[int]], num_vertices: int) -> bool:
             seen[v] = True
             total += 1
     return total == num_vertices
+
+
+# ----------------------------------------------------------------------
+# Lemmas 5.2-5.4 — the local maintenance input is g_{u,v}'s weight-k edges
+# ----------------------------------------------------------------------
+def local_input_is_weight_k(
+    conn_graph: "ConnectivityGraph",
+    vertices: Sequence[int],
+    k: int,
+    local: Sequence[Tuple[int, int, int]],
+) -> bool:
+    """Check a local KECC input against the full enumeration of ``g_{u,v}``.
+
+    ``vertices`` is g and ``local`` lists ``(a, b, sc)`` with ``a < b``,
+    read after the update edge was removed (delete) or added at weight k
+    (insert).  Every listed edge must carry its current sc, and the
+    listed weight-k edges must be exactly — no more, no fewer, no
+    repeats — the weight-k edges of ``induced_edges(vertices)``.  That
+    enumeration is what the write path avoids; it survives here only as
+    the reference.
+    """
+    weights = conn_graph.weights_dict()
+    if any(a >= b or weights.get((a, b)) != w for a, b, w in local):
+        return False
+    claimed = [(a, b) for a, b, w in local if w == k]
+    expected = {
+        e for e in conn_graph.graph.induced_edges(vertices) if weights[e] == k
+    }
+    return len(claimed) == len(expected) and set(claimed) == expected
 
 
 # ----------------------------------------------------------------------

@@ -32,13 +32,13 @@ exactly what the CI concurrency job does with ``REPRO_TSAN=1``.
 
 from __future__ import annotations
 
-import os
-
 # The sanitizer wraps the serve-layer locks; it is part of the lock
 # discipline itself, not an independent threading user.
 import threading  # repro-lint: ignore[threading-outside-serve]
 import traceback
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Type
+
+from repro.util.env import env_flag
 
 __all__ = [
     "TsanError",
@@ -54,9 +54,7 @@ __all__ = [
     "SanitizedRLock",
 ]
 
-_FALSY = frozenset({"", "0", "false", "off", "no"})
-
-_ENABLED = os.environ.get("REPRO_TSAN", "").strip().lower() not in _FALSY
+_ENABLED = env_flag("REPRO_TSAN")
 
 
 class TsanError(RuntimeError):

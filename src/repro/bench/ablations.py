@@ -33,10 +33,8 @@ from repro.errors import (
     InfeasibleSizeConstraintError,
     InternalInvariantError,
 )
-from repro.index.maintenance import IndexMaintainer
+from repro.index.maintenance import IndexMaintainer, LocalInput
 from repro.index.mst import MSTIndex, _normalize_query
-
-Edge = Tuple[int, int]
 
 
 # ----------------------------------------------------------------------
@@ -172,24 +170,16 @@ class NoContractionMaintainer(IndexMaintainer):
     """Index maintenance with the contraction optimization disabled.
 
     Recomputes k-eccs over every vertex of ``g_{u,v}`` individually
-    (each vertex becomes its own 'super-vertex'), which is correct but
-    processes the (k+1)-edge connected interiors that contraction would
-    have collapsed.
+    (each vertex becomes its own 'super-vertex') and over every edge of
+    g, which is correct but processes the (k+1)-edge connected
+    interiors that contraction would have collapsed.
     """
 
-    def _contract_heavy_components(
-        self, component: List[int], k: int
-    ) -> Tuple[Dict[int, int], int]:
-        return {v: i for i, v in enumerate(component)}, len(component)
-
-    def _recompute_after_insert(
-        self, component: List[int], k: int, inserted: Edge
-    ) -> Tuple[List[Edge], int]:
-        # Without contraction, edges of sc >= k+1 survive into the local
-        # KECC run and land inside (k+1)-ecc groups; Algorithm 8 line 4
-        # only promotes edges whose current sc equals k, so filter.
-        promoted, new_edge_sc = super()._recompute_after_insert(
-            component, k, inserted
-        )
-        promoted = [(a, b) for a, b in promoted if self.conn.weight(a, b) == k]
-        return promoted, new_edge_sc
+    def _local_input(self, source: int, k: int) -> LocalInput:
+        super_of, _, _ = super()._local_input(source, k)
+        members = list(super_of)
+        conn = self.conn
+        edges = [
+            (a, b, conn.weight(a, b)) for a, b in conn.graph.induced_edges(members)
+        ]
+        return {v: i for i, v in enumerate(members)}, len(members), edges

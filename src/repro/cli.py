@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from typing import List, Optional, Sequence
 
 from repro import SMCCIndex
@@ -271,16 +270,12 @@ def _cmd_serve(args) -> int:
     registry = obs_runtime.enable() if args.obs else obs_runtime.REGISTRY
     try:
         index = SMCCIndex.load(args.index)
-        with warnings.catch_warnings():
-            # Show the --delta/--no-delta deprecation on stderr.
-            warnings.simplefilter("default", DeprecationWarning)
-            config = ServeConfig(
-                cache_capacity=args.cache_capacity,
-                invalidation=args.invalidation,
-                default_timeout=args.timeout,
-                default_max_staleness=args.max_staleness,
-                delta_publish=args.delta,
-            )
+        config = ServeConfig(
+            cache_capacity=args.cache_capacity,
+            invalidation=args.invalidation,
+            default_timeout=args.timeout,
+            default_max_staleness=args.max_staleness,
+        )
         serving = ServingIndex(index, config=config)
         if args.workers > 0:
             shard_spec = ShardWorkloadSpec(
@@ -441,11 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-capacity", type=int, default=4096)
     p.add_argument("--invalidation", choices=["region", "wholesale"],
                    default="region")
-    p.add_argument("--delta", action=argparse.BooleanOptionalAction,
-                   default=None,
-                   help="deprecated and ignored: a publish reuses the "
-                        "previous MST* when the spanning forest is "
-                        "unchanged and captures it fully otherwise")
     p.add_argument("--timeout", type=float, default=None,
                    help="per-query deadline in seconds")
     p.add_argument("--max-staleness", type=int, default=None,

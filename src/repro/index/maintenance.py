@@ -3,26 +3,42 @@
 Section 5.2 of the paper.  The key locality result (Observations I/II,
 via Lemmas 5.2–5.4): when edge ``(u, v)`` with ``k = sc(u, v)`` changes,
 
-- only edges inside ``g_{u,v}`` — the SMCC of ``{u, v}`` — can change
-  steiner-connectivity, and only between ``k`` and ``k ∓ 1``;
+- only edges inside ``g_{u,v}`` — the SMCC of ``{u, v}``, i.e. the
+  k-ecc holding both — can change steiner-connectivity, and only
+  between ``k`` and ``k ∓ 1``;
 - every (k+1)-edge connected component inside ``g_{u,v}`` can be
   *contracted* to a super-vertex before recomputation, because its
   internal edges (sc >= k+1) are unaffected.
 
-Conveniently, the (k+1)-eccs inside ``g_{u,v}`` can be read directly off
-the MST: they are the components connected by tree edges of weight
->= k+1 (Lemma 4.6), so the contraction step costs no KECC computation.
+So the local KECC input is exactly the weight-k edges of ``g_{u,v}``:
+an edge with sc >= k+1 inside g lies inside one super-vertex, and an
+edge with sc = k and one endpoint in g has both endpoints there (the
+k-eccs partition the vertices).  Neither g's other edges nor the rest
+of the graph is ever enumerated:
 
-After the connectivity graph is patched, the MST is repaired via the
-four cases of Section 5.2.3 (delete edge, batch decrement, insert edge,
-batch increment) using the bucketized non-tree edge structure ``NT``.
+- one walk from ``u`` over MST edges of weight >= k visits g's vertices
+  (Lemma 4.6) and labels its (k+1)-eccs on the way — a step over a
+  weight-k edge opens a new super-vertex, a heavier step keeps the
+  parent's; g's tree part is a tree, so the labels are exactly the
+  classes joined by tree edges of weight >= k+1.  The weight-k tree
+  edges the walk crosses are one half of the input;
+- the other half is the weight-k bucket of the non-tree edge structure
+  ``NT``, filtered to g.
+
+The spanning forest is then repaired inside g alone.  Only g's weight-k
+edges change weight (or, for the updated edge, existence), so one
+Kruskal pass over them on the super-vertices re-chooses g's
+inter-super tree edges; every other tree edge stays.  That one step
+covers the four cases of Section 5.2.3 (delete edge, batch decrement,
+insert edge, batch increment) and rebuilds no whole-tree structure.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
+from repro.analysis.contracts import invariant
+from repro.analysis.lemmas import is_maximum_spanning_forest, local_input_is_weight_k
 from repro.errors import GraphError
 from repro.graph.graph import edge_key
 from repro.index.connectivity_graph import ConnectivityGraph
@@ -30,8 +46,13 @@ from repro.index.mst import MSTIndex
 from repro.kecc import get_engine
 from repro.obs import runtime as _obs
 from repro.obs.spans import span
+from repro.util.disjoint_set import DisjointSet
 
 Edge = Tuple[int, int]
+#: one edge of the local KECC input: ``(a, b, sc)`` with ``a < b``
+WeightedEdge = Tuple[int, int, int]
+#: the local KECC input: ``(vertex -> super id, number of supers, edges)``
+LocalInput = Tuple[Dict[int, int], int, List[WeightedEdge]]
 
 
 class IndexMaintainer:
@@ -60,7 +81,7 @@ class IndexMaintainer:
         self._engine_kwargs = engine_kwargs
 
     # ------------------------------------------------------------------
-    # Edge deletion (Algorithm 7 + MST cases I and II)
+    # Edge deletion (Algorithm 7)
     # ------------------------------------------------------------------
     def delete_edge(self, u: int, v: int) -> List[Tuple[int, int, int]]:
         """Delete edge ``(u, v)``; return the sc changes applied.
@@ -69,98 +90,48 @@ class IndexMaintainer:
         whose steiner-connectivity changed (each drops by exactly 1,
         Observation I).
         """
-        graph = self.conn.graph
-        if not graph.has_edge(u, v):
+        conn, mst = self.conn, self.mst
+        if not conn.graph.has_edge(u, v):
             raise GraphError(f"cannot delete missing edge ({u}, {v})")
         with span("index.update.delete_edge") as sp:
-            k_uv = self.conn.weight(u, v)
-            # g_{u,v}: the SMCC of {u, v} = k_uv-ecc containing them (Lemma 4.6).
-            component = self.mst.vertices_with_connectivity(u, k_uv)
-            self.conn.remove_edge(u, v)
-            self._mst_delete_edge(u, v)
+            k = conn.weight(u, v)
+            # Read g's input while the forest still matches it: the
+            # repair below may move a weight-k NT edge into the tree.
+            super_of, num_supers, local = self._local_input(u, k)
+            deleted = edge_key(u, v)
+            local = [e for e in local if (e[0], e[1]) != deleted]
+            conn.remove_edge(u, v)
+            self._check_local_input(super_of, k, local)
+            cut = mst.has_tree_edge(u, v)
+            if cut:
+                mst.remove_tree_edge(u, v)
+            else:
+                mst.non_tree.remove(u, v)
 
-            # Contract the (k+1)-eccs of g_{u,v}^- and recompute k-eccs.
-            demoted = self._recompute_after_delete(component, k_uv, (u, v))
-            self._apply_decrements(demoted, k_uv)
-            sp.set("affected_component", len(component))
+            # Algorithm 7 lines 3-4: the weight-k edges of g^- that no
+            # longer lie inside one k-ecc drop to k - 1.
+            ends, owner = self._super_groups(super_of, num_supers, local, k)
+            demoted = [
+                (a, b)
+                for (a, b, _), (sa, sb) in zip(local, ends)
+                if owner[sa] != owner[sb]
+            ]
+            for a, b in demoted:
+                conn.set_weight(a, b, k - 1)
+            if cut or demoted:
+                self._reselect_tree(
+                    super_of, num_supers, local, dict.fromkeys(demoted, k - 1)
+                )
+            sp.set("affected_component", len(super_of))
             sp.set("sc_changes", len(demoted))
+        self._check_forest()
         stats = _obs.get_active_stats()
         if stats is not None:
             stats.sc_changes += len(demoted)
-        return [(a, b, k_uv - 1) for a, b in demoted]
-
-    def _apply_decrements(self, demoted: List[Edge], old_weight: int) -> None:
-        """Case II, batched: drop every edge in ``demoted`` by one.
-
-        Phase 1 updates all stored weights first, so that a demoted NT
-        edge can never be swapped into the tree at its stale weight;
-        phase 2 then performs improving swaps (replace a demoted tree
-        edge with a genuine ``old_weight`` NT edge crossing its cut)
-        until a fixpoint, which restores tree maximality.
-        """
-        mst = self.mst
-        new_weight = old_weight - 1
-        tree_demoted: List[Edge] = []
-        for a, b in demoted:
-            self.conn.set_weight(a, b, new_weight)
-            if (a, b) in mst.non_tree:
-                mst.non_tree.relocate(a, b, new_weight)
-            else:
-                mst.set_tree_weight(a, b, new_weight)
-                tree_demoted.append((a, b))
-        changed = True
-        while changed:
-            changed = False
-            for a, b in tree_demoted:
-                if not mst.has_tree_edge(a, b):
-                    continue  # already swapped out
-                mst.remove_tree_edge(a, b)
-                side = set(mst.tree_component(a))
-                replacement: Optional[Edge] = None
-                for x, y in mst.non_tree.edges_with_weight(old_weight):
-                    if (x in side) != (y in side):
-                        replacement = (x, y)
-                        break
-                if replacement is None:
-                    mst.add_tree_edge(a, b, new_weight)
-                else:
-                    x, y = replacement
-                    mst.non_tree.remove(x, y)
-                    mst.add_tree_edge(x, y, old_weight)
-                    mst.non_tree.add(a, b, new_weight)
-                    changed = True
-
-    def _recompute_after_delete(
-        self, component: List[int], k: int, deleted: Edge
-    ) -> List[Edge]:
-        """Algorithm 7 lines 3-4: edges of ``g_{u,v}^-`` that drop to k-1."""
-        super_of, num_supers = self._contract_heavy_components(component, k)
-        deleted_key = edge_key(*deleted)
-        local_edges: List[Edge] = []
-        original: List[Edge] = []
-        for a, b in self.conn.graph.induced_edges(component):
-            if edge_key(a, b) == deleted_key:
-                continue
-            sa, sb = super_of[a], super_of[b]
-            if sa == sb:
-                continue  # inside a (k+1)-ecc: sc >= k+1, unaffected
-            local_edges.append((sa, sb))
-            original.append((a, b))
-        if not local_edges:
-            return []
-        groups = self._kecc(num_supers, local_edges, k, **self._engine_kwargs)
-        owner: Dict[int, int] = {}
-        for gid, group in enumerate(groups):
-            for s in group:
-                owner[s] = gid
-        return [
-            orig
-            for orig, (sa, sb) in zip(original, local_edges)
-            if owner[sa] != owner[sb]
-        ]
+        return [(a, b, k - 1) for a, b in demoted]
 
     # ------------------------------------------------------------------
-    # Edge insertion (Algorithm 8 + MST cases III and IV)
+    # Edge insertion (Algorithm 8)
     # ------------------------------------------------------------------
     def insert_edge(self, u: int, v: int) -> List[Tuple[int, int, int]]:
         """Insert edge ``(u, v)``; return the sc changes applied.
@@ -168,159 +139,182 @@ class IndexMaintainer:
         The return value lists ``(a, b, new_sc)`` for every edge whose
         steiner-connectivity changed, *including* the new edge itself.
         """
-        graph = self.conn.graph
+        conn, mst = self.conn, self.mst
+        graph = conn.graph
         while graph.num_vertices <= max(u, v):
-            self.conn.add_vertex()
-            self.mst.add_vertex()
+            conn.add_vertex()
+            mst.add_vertex()
         if graph.has_edge(u, v):
             raise GraphError(f"edge ({u}, {v}) already exists")
         if u == v:
             raise GraphError("self-loops are not allowed")
 
-        if not self.mst.same_tree(u, v):
+        path = mst.tree_path(u, v)
+        if path is None:
             # Bridging two components: the new edge is a bridge, sc = 1;
             # no other edge can change (Lemma 5.4 with k_uv undefined/0).
-            self.conn.add_edge(u, v, 1)
-            self.mst.add_tree_edge(u, v, 1)
+            conn.add_edge(u, v, 1)
+            mst.add_tree_edge(u, v, 1)
+            self._check_forest()
             stats = _obs.get_active_stats()
             if stats is not None:
                 stats.sc_changes += 1
             return [(u, v, 1)]
 
         with span("index.update.insert_edge") as sp:
-            k_uv = self.mst.steiner_connectivity([u, v])
-            component = self.mst.vertices_with_connectivity(u, k_uv)
-            self.conn.add_edge(u, v, k_uv)  # provisional weight, fixed below
+            # sc(u, v) before the insert is its tree path's minimum
+            # (Lemma 4.4), so u and v sit in different (k+1)-eccs of g.
+            k = min(w for _, _, w in path)
+            super_of, num_supers, local = self._local_input(u, k)
+            local.append((*edge_key(u, v), k))  # provisional weight
+            conn.add_edge(u, v, k)
+            mst.non_tree.add(u, v, k)
+            self._check_local_input(super_of, k, local)
 
-            promoted, new_edge_sc = self._recompute_after_insert(
-                component, k_uv, (u, v)
-            )
-            changes: List[Tuple[int, int, int]] = []
-            self.conn.set_weight(u, v, new_edge_sc)
-            self._mst_insert_edge(u, v, new_edge_sc)
-            changes.append((u, v, new_edge_sc))
-            for a, b in promoted:
-                self.conn.set_weight(a, b, k_uv + 1)
-                self._mst_increment_edge(a, b, k_uv)
-                changes.append((a, b, k_uv + 1))
-            sp.set("affected_component", len(component))
+            # Algorithm 8 lines 3-5: at most one new (k+1)-ecc forms, the
+            # one holding u and v, and its weight-k edges rise to k + 1.
+            ends, owner = self._super_groups(super_of, num_supers, local, k + 1)
+            risen = [
+                (a, b)
+                for (a, b, w), (sa, sb) in zip(local, ends)
+                if w == k and owner[sa] == owner[sb]
+            ]
+            for a, b in risen:
+                conn.set_weight(a, b, k + 1)
+            if risen:
+                self._reselect_tree(
+                    super_of, num_supers, local, dict.fromkeys(risen, k + 1)
+                )
+            # The new edge is local's last entry; a new (k+1)-ecc holds
+            # both its ends, so whenever anything rose it rose last.
+            changes = [(u, v, k + 1 if risen else k)]
+            changes.extend((a, b, k + 1) for a, b in risen[:-1])
+            sp.set("affected_component", len(super_of))
             sp.set("sc_changes", len(changes))
+        self._check_forest()
         stats = _obs.get_active_stats()
         if stats is not None:
             stats.sc_changes += len(changes)
         return changes
 
-    def _recompute_after_insert(
-        self, component: List[int], k: int, inserted: Edge
-    ) -> Tuple[List[Edge], int]:
-        """Algorithm 8 lines 3-5.
+    # ------------------------------------------------------------------
+    # The local input and its KECC run, shared by both directions
+    # ------------------------------------------------------------------
+    def _local_input(self, source: int, k: int) -> LocalInput:
+        """``g_{u,v}``'s super-vertices and weight-k edges, from one walk.
 
-        Returns ``(promoted_edges, sc_of_new_edge)``: the pre-existing
-        edges whose sc rises to k+1, and the sc of the inserted edge
-        itself (k+1 if it landed inside a new (k+1)-ecc, else k).
+        ``g`` is the component of ``source`` over tree edges of weight
+        >= k (Lemma 4.6).  Returns ``(super_of, num_supers, edges)``:
+        ``super_of`` maps each vertex of g to its (k+1)-ecc's super id,
+        and ``edges`` lists g's weight-k edges as ``(a, b, k)`` with
+        ``a < b`` — the tree edges the walk crossed, then the ``NT[k]``
+        edges with an endpoint in g.  Reads the current state only.
         """
-        super_of, num_supers = self._contract_heavy_components(component, k)
-        inserted_key = edge_key(*inserted)
-        local_edges: List[Edge] = []
-        original: List[Edge] = []
-        for a, b in self.conn.graph.induced_edges(component):
-            sa, sb = super_of[a], super_of[b]
-            if sa == sb:
-                # Inside a (k+1)-ecc already.  The *new* edge can land
-                # here when both endpoints share a (k+1)-ecc.
-                continue
-            local_edges.append((sa, sb))
-            original.append((a, b))
-        su, sv = super_of[inserted[0]], super_of[inserted[1]]
-        if su == sv:
-            # Both endpoints inside one (k+1)-ecc: new edge gets k+1 and
-            # nothing else changes.
-            return [], k + 1
-        groups = self._kecc(num_supers, local_edges, k + 1, **self._engine_kwargs)
-        owner: Dict[int, int] = {}
+        tree_adj = self.mst.tree_adj
+        super_of = {source: 0}
+        num_supers = 1
+        edges: List[WeightedEdge] = []
+        stack = [source]
+        while stack:
+            a = stack.pop()
+            sa = super_of[a]
+            for b, w in tree_adj[a].items():
+                if w < k or b in super_of:
+                    continue
+                if w == k:
+                    super_of[b] = num_supers
+                    num_supers += 1
+                    edges.append((a, b, k) if a < b else (b, a, k))
+                else:
+                    super_of[b] = sa
+                stack.append(b)
+        for a, b in self.mst.non_tree.edges_with_weight(k):
+            if a in super_of:
+                edges.append((a, b, k))
+        return super_of, num_supers, edges
+
+    def _super_groups(
+        self,
+        super_of: Dict[int, int],
+        num_supers: int,
+        local: List[WeightedEdge],
+        k: int,
+    ) -> Tuple[List[Edge], List[int]]:
+        """The k-eccs of the contracted local graph.
+
+        Returns ``(ends, owner)``: each local edge's super-vertex ends,
+        in ``local``'s order, and each super-vertex's k-ecc id.
+        """
+        ends = [(super_of[a], super_of[b]) for a, b, _ in local]
+        owner = [0] * num_supers
+        groups = self._kecc(num_supers, ends, k, **self._engine_kwargs)
         for gid, group in enumerate(groups):
             for s in group:
                 owner[s] = gid
-        promoted: List[Edge] = []
-        new_edge_sc = k
-        for orig, (sa, sb) in zip(original, local_edges):
-            if owner[sa] == owner[sb]:
-                if edge_key(*orig) == inserted_key:
-                    new_edge_sc = k + 1
-                else:
-                    promoted.append(orig)
-        return promoted, new_edge_sc
+        return ends, owner
 
     # ------------------------------------------------------------------
-    # Contraction helper shared by both directions
+    # Forest repair: the four cases of Section 5.2.3 in one step
     # ------------------------------------------------------------------
-    def _contract_heavy_components(
-        self, component: List[int], k: int
-    ) -> Tuple[Dict[int, int], int]:
-        """Contract the (k+1)-eccs inside ``component`` into super-vertices.
+    def _reselect_tree(
+        self,
+        super_of: Dict[int, int],
+        num_supers: int,
+        local: List[WeightedEdge],
+        new_weight: Dict[Edge, int],
+    ) -> None:
+        """Re-choose g's inter-super tree edges by Kruskal over ``local``.
 
-        The (k+1)-eccs are exactly the classes connected by MST edges of
-        weight >= k+1 (Lemma 4.6), so this is a tree BFS, not a KECC run.
-        Returns ``(vertex -> super id, number of super vertices)``.
+        ``local`` holds every edge of g that changed (``new_weight``)
+        or could take the deleted edge's place, and each (k+1)-ecc keeps
+        its internal tree.  A maximum spanning forest of the contracted
+        graph under the new weights — heaviest first, current tree edges
+        first among equals, so an unchanged choice stays — plus the
+        untouched rest of the forest is a maximum spanning forest again.
+        A non-tree edge not in ``local`` either lies inside one
+        super-vertex, whose internal tree is unchanged, or has an end
+        outside g and so sc <= k - 1; its tree path still crosses g, if
+        at all, over weights no lighter than itself.  A replacement for
+        a deleted tree edge comes from ``NT[k]`` (or a demoted edge),
+        never from a heavier bucket: by the cycle property no heavier
+        non-tree edge crosses its cut.
         """
-        member = set(component)
-        super_of: Dict[int, int] = {}
-        next_super = 0
-        tree_adj = self.mst.tree_adj
-        for start in component:
-            if start in super_of:
-                continue
-            super_of[start] = next_super
-            queue = deque((start,))
-            while queue:
-                a = queue.popleft()
-                for b, w in tree_adj[a].items():
-                    if w >= k + 1 and b in member and b not in super_of:
-                        super_of[b] = next_super
-                        queue.append(b)
-            next_super += 1
-        return super_of, next_super
+        mst = self.mst
+        tree_adj, non_tree = mst.tree_adj, mst.non_tree
+        ranked: Dict[Tuple[int, bool], List[WeightedEdge]] = {}
+        for a, b, w in local:
+            rank = (new_weight.get((a, b), w), b in tree_adj[a])
+            ranked.setdefault(rank, []).append((a, b, w))
+        forest = DisjointSet(num_supers)
+        for new, in_tree in sorted(ranked, reverse=True):
+            for a, b, w in ranked[new, in_tree]:
+                if forest.union(super_of[a], super_of[b]):
+                    if not in_tree:
+                        non_tree.remove(a, b)
+                        mst.add_tree_edge(a, b, new)
+                    elif new != w:
+                        mst.set_tree_weight(a, b, new)
+                elif in_tree:
+                    mst.remove_tree_edge(a, b)
+                    non_tree.add(a, b, new)
+                elif new != w:
+                    non_tree.relocate(a, b, new)
 
     # ------------------------------------------------------------------
-    # MST repair: the four cases of Section 5.2.3
+    # Contracts (REPRO_CHECK_INVARIANTS)
     # ------------------------------------------------------------------
-    def _mst_delete_edge(self, u: int, v: int) -> None:
-        """Case I: edge ``(u, v)`` disappears from the connectivity graph."""
-        mst = self.mst
-        if (u, v) in mst.non_tree:
-            mst.non_tree.remove(u, v)
-            return
-        mst.remove_tree_edge(u, v)
-        # Try to reconnect the two trees with the heaviest crossing NT edge.
-        side = set(mst.tree_component(u))
-        for a, b, w in mst.non_tree.iter_non_increasing():
-            if (a in side) != (b in side):
-                mst.non_tree.remove(a, b)
-                mst.add_tree_edge(a, b, w)
-                return
-        # No replacement: the graph itself is now disconnected; keep forest.
+    def _check_local_input(
+        self, super_of: Dict[int, int], k: int, local: List[WeightedEdge]
+    ) -> None:
+        invariant(
+            "lemma-5.2-local-input",
+            lambda: local_input_is_weight_k(self.conn, list(super_of), k, local),
+            "local KECC input is not exactly g_{u,v}'s weight-k edges",
+        )
 
-    def _mst_insert_edge(self, u: int, v: int, weight: int) -> None:
-        """Case III: a new edge ``(u, v)`` with the given weight appears."""
-        mst = self.mst
-        path = mst.tree_path(u, v)
-        if path is None:
-            mst.add_tree_edge(u, v, weight)
-            return
-        a, b, w = min(path, key=lambda e: e[2])
-        if w < weight:
-            mst.remove_tree_edge(a, b)
-            mst.non_tree.add(a, b, w)
-            mst.add_tree_edge(u, v, weight)
-        else:
-            mst.non_tree.add(u, v, weight)
-
-    def _mst_increment_edge(self, u: int, v: int, old_weight: int) -> None:
-        """Case IV: sc(u, v) rises from ``old_weight`` to ``old_weight + 1``."""
-        mst = self.mst
-        new_weight = old_weight + 1
-        if mst.has_tree_edge(u, v):
-            mst.set_tree_weight(u, v, new_weight)
-            return
-        mst.non_tree.remove(u, v)
-        self._mst_insert_edge(u, v, new_weight)
+    def _check_forest(self) -> None:
+        invariant(
+            "lemma-4.4-mst-maintained",
+            lambda: is_maximum_spanning_forest(self.mst, self.conn),
+            "maintained tree is not a maximum spanning forest",
+        )

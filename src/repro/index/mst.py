@@ -570,20 +570,6 @@ class MSTIndex:
     # ------------------------------------------------------------------
     # Helpers used by index maintenance
     # ------------------------------------------------------------------
-    def tree_component(self, source: int, stop_at: Optional[Set[int]] = None) -> List[int]:
-        """Vertices of the tree component containing ``source`` (plain BFS)."""
-        seen = {source}
-        queue = deque((source,))
-        order = [source]
-        while queue:
-            u = queue.popleft()
-            for v in self.tree_adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    order.append(v)
-                    queue.append(v)
-        return order
-
     def tree_path(self, u: int, v: int) -> Optional[List[Tuple[int, int, int]]]:
         """The tree path from ``u`` to ``v`` as ``(a, b, weight)`` edges.
 
@@ -614,10 +600,6 @@ class MSTIndex:
             cur = p
         path.reverse()
         return path
-
-    def same_tree(self, u: int, v: int) -> bool:
-        """True if ``u`` and ``v`` are connected in the current tree."""
-        return self.tree_path(u, v) is not None
 
 
 # ----------------------------------------------------------------------

@@ -168,11 +168,18 @@ class MSTStar:  # deep-frozen
     ) -> None:
         rmq = sparse_min_table(np.asarray(gap, dtype=np.int64))
         runs = run_table(rmq)
-        position = [0] * len(leaf_order)
-        for i, v in enumerate(leaf_order):
-            position[v] = i
+        # One int64 buffer, not a list of int objects: a cached answer's
+        # touch set pins its generation's leaf_position, and carried
+        # entries keep old generations' alive, so the process's peak
+        # memory grew with the publishes served while it was a list.
+        position = np.empty(len(leaf_order), dtype=np.int64)
+        position[leaf_order] = np.arange(len(leaf_order), dtype=np.int64)
         self._install(
-            leaf_order, position, rmq, runs, cartesian_jump_table(rmq[0], runs)
+            leaf_order,
+            _int_view(position),
+            rmq,
+            runs,
+            cartesian_jump_table(rmq[0], runs),
         )
 
     @classmethod

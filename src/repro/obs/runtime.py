@@ -23,23 +23,23 @@ a process-wide registry at import time; :func:`enable` /
 :func:`disable` switch it programmatically.
 
 This module deliberately imports nothing from the rest of the library
-at module level so that any hot module can import it without cycles.
+at module level but the dependency-free switch parser
+:mod:`repro.util.env`, so that any hot module can import it without
+cycles.
 """
 
 from __future__ import annotations
-
-import os
 
 # threading.local only — per-thread collector slots, no locks or
 # threads; lock discipline stays in repro.serve.
 import threading  # repro-lint: ignore[threading-outside-serve]
 from typing import TYPE_CHECKING, Optional
 
+from repro.util.env import env_flag
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.stats import QueryStats
-
-_FALSY = frozenset({"", "0", "false", "off", "no"})
 
 #: the active metrics registry; ``None`` = observability disabled.
 #: Swapped wholesale by enable()/disable(); hot paths read the
@@ -80,7 +80,7 @@ def set_active_stats(
 
 def env_requests_obs() -> bool:
     """True when ``REPRO_OBS`` asks for observability at startup."""
-    return os.environ.get("REPRO_OBS", "").strip().lower() not in _FALSY
+    return env_flag("REPRO_OBS")
 
 
 def enabled() -> bool:

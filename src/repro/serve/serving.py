@@ -25,7 +25,6 @@ All serve-side metrics land in the :mod:`repro.obs` registry under the
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -66,19 +65,8 @@ class ServeConfig:
     auto_publish_every: Optional[int] = None
     #: KECC engine for the degraded direct path
     direct_engine: str = "exact"
-    #: deprecated and ignored: a publish reuses the previous MST* when
-    #: the spanning forest is unchanged and rebuilds it otherwise
-    delta_publish: Optional[bool] = None
 
     def __post_init__(self) -> None:
-        if self.delta_publish is not None:
-            warnings.warn(
-                "ServeConfig.delta_publish is deprecated and ignored: a "
-                "publish reuses the previous MST* when the spanning "
-                "forest is unchanged and captures it fully otherwise",
-                DeprecationWarning,
-                stacklevel=3,
-            )
         if self.invalidation not in ("region", "wholesale"):
             raise ValueError(
                 f"invalidation must be 'region' or 'wholesale', "

@@ -7,8 +7,8 @@ The paper relies on bin-sort style bucket structures in two places:
   with buckets instead of a binary heap is what makes the algorithm run
   in time linear in the result size (Section 4.5).
 - MST maintenance (Section 5.2.3) organizes the non-tree edges ``NT`` of
-  the connectivity graph into per-weight buckets so that edges can be
-  scanned in non-increasing weight order and relocated in O(1).
+  the connectivity graph into per-weight buckets so that an update reads
+  only the bucket of its own weight k and relocates edges in O(1).
 """
 
 from __future__ import annotations

@@ -70,6 +70,13 @@ class TestBuildQueryUpdate:
         assert main(["query", index_dir, "--sc", "0", "9"]) == 0
         assert "= 3" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", ["--delta", "--no-delta"])
+    def test_serve_delta_flags_rejected(self, index_dir, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", index_dir, flag])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_query_error_reported(self, index_dir, capsys):
         # vertex 99 does not exist -> ReproError -> exit code 1
         assert main(["query", index_dir, "--sc", "0", "99"]) == 1

@@ -30,6 +30,15 @@ class TestLeafOrder:
         for v in range(13):
             assert star.leaf_order[star.leaf_position[v]] == v
 
+    def test_leaf_position_is_one_int64_buffer(self, stack):
+        # Cached answers pin their generation's leaf_position: it must
+        # cost 8 bytes a vertex, not a list of int objects.
+        _, star = stack
+        view = star.leaf_position
+        assert isinstance(view, memoryview) and view.readonly
+        assert view.itemsize == 8 and view.nbytes == 8 * 13
+        assert all(type(p) is int for p in view)
+
     def test_component_slice_matches_bfs(self, stack):
         mst, star = stack
         for v in range(13):

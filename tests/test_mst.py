@@ -208,13 +208,7 @@ class TestTreeHelpers:
         graph = Graph.from_edges([(0, 1), (2, 3)])
         mst = index_for(graph)
         assert mst.tree_path(0, 2) is None
-        assert not mst.same_tree(0, 2)
-        assert mst.same_tree(0, 1)
-
-    def test_tree_component(self):
-        graph = Graph.from_edges([(0, 1), (2, 3)])
-        mst = index_for(graph)
-        assert sorted(mst.tree_component(0)) == [0, 1]
+        assert mst.tree_path(0, 1) == [(0, 1, 1)]
 
     def test_invalidate_and_rebuild(self):
         mst = index_for(paper_example_graph())

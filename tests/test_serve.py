@@ -569,13 +569,11 @@ class TestWriterApi:
         cache = QueryCache(capacity=8, generation=3)
         assert (cache.capacity, cache.generation) == (8, 3)
 
-    def test_delta_publish_config_deprecated_and_ignored(self):
-        with pytest.warns(DeprecationWarning, match="delta_publish"):
-            config = ServeConfig(delta_publish=False)
-        # Ignored: an unchanged spanning forest still reuses the star.
-        serving = ServingIndex.build(chain_with_cycle_graph(), config=config)
-        serving.apply_updates(inserts=[CYCLE_CHORD])
-        assert serving.publish().mode == "delta"
+    def test_delta_publish_config_rejected(self):
+        # The publish mode needs no knob: an unchanged spanning forest
+        # reuses the star, a changed one is captured fully.
+        with pytest.raises(TypeError, match="delta_publish"):
+            ServeConfig(delta_publish=False)
 
     def test_forest_change_captures_fully(self, paper_graph):
         serving = ServingIndex.build(paper_graph)
