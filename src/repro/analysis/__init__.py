@@ -14,14 +14,15 @@ invariant-rich algorithms:
   4.4-4.6, k-ECC partition validity and Dinic flow conservation that
   the contracts evaluate.
 
-Three dual-prong checkers ride on the lint engine: the concurrency
+Two dual-prong checkers ride on the lint engine: the concurrency
 contract (:mod:`repro.analysis.concurrency` static ``guarded-by``
-rules + :mod:`repro.analysis.tsan` runtime lock sanitizer), the
-deep-immutability contract (:mod:`repro.analysis.immutability` +
-:mod:`repro.analysis.freezer`), and the resource-lifecycle contract
-(:mod:`repro.analysis.lifecycle` static ownership analysis +
-:mod:`repro.analysis.leaktrack` runtime leak tracker armed by
-``REPRO_LEAKTRACK=1``).
+rules + :mod:`repro.analysis.tsan` runtime lock sanitizer) and the
+resource-lifecycle contract (:mod:`repro.analysis.lifecycle` static
+ownership analysis + :mod:`repro.analysis.leaktrack` runtime leak
+tracker armed by ``REPRO_LEAKTRACK=1``).  Published serving state
+needs no checker: snapshots and cache entries hold only ints, tuples,
+frozensets and read-only arrays and memoryviews, so they are
+immutable by construction.
 """
 
 from __future__ import annotations

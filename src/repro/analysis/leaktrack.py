@@ -2,8 +2,7 @@
 
 Counterpart of the :mod:`repro.analysis.lifecycle` static rules, in
 the same dual-prong mold as the lock sanitizer
-(:mod:`repro.analysis.tsan`) and the snapshot freezer
-(:mod:`repro.analysis.freezer`): ``REPRO_LEAKTRACK=1`` arms a registry
+(:mod:`repro.analysis.tsan`): ``REPRO_LEAKTRACK=1`` arms a registry
 that records the allocation stack of every shm segment, worker
 process, pipe, pool and asyncio task the serving tier creates, and the
 zero-leak sweeps at pool/store shutdown raise :class:`LeakError`

@@ -5,8 +5,8 @@ segments unlinked on last detach, crash-only worker processes, pipes,
 file handles, pools and asyncio task handles.  A single missed
 ``close()`` on an exception edge leaks ``/dev/shm``.  This module makes
 the discipline machine-checked, the same dual-prong treatment the
-``guarded-by`` (PR 5) and ``deep-frozen`` (PR 6) contracts received;
-:mod:`repro.analysis.leaktrack` is the dynamic prong.
+``guarded-by`` contract received; :mod:`repro.analysis.leaktrack` is
+the dynamic prong.
 
 The checker runs an intraprocedural may-analysis over each function
 body.  Control flow is interpreted compositionally — ``if``/loops

@@ -25,7 +25,6 @@ from repro.analysis.engine import (
     collect_contexts,
     lint_contexts,
 )
-from repro.analysis.immutability import IMMUTABILITY_RULE_IDS
 from repro.analysis.lifecycle import LIFECYCLE_RULE_IDS
 from repro.analysis.rules import all_rule_ids, make_rules, rule_description
 
@@ -66,12 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the concurrency rule set (guarded-by-*, "
         "lock-order-cycle); combines with --rules as a union",
-    )
-    parser.add_argument(
-        "--immutability",
-        action="store_true",
-        help="run the deep-immutability rule set (frozen-mutation, "
-        "frozen-escape, frozen-invalid); combines with --rules as a union",
     )
     parser.add_argument(
         "--lifecycle",
@@ -125,8 +118,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_ERROR
     if args.concurrency:
         only = (only or set()) | set(CONCURRENCY_RULE_IDS)
-    if args.immutability:
-        only = (only or set()) | set(IMMUTABILITY_RULE_IDS)
     if args.lifecycle:
         only = (only or set()) | set(LIFECYCLE_RULE_IDS)
 

@@ -145,7 +145,6 @@ def _ensure_registered() -> None:
         return
     _EXTRA_RULE_MODULES_LOADED = True
     import repro.analysis.concurrency  # noqa: F401  (registers rules)
-    import repro.analysis.immutability  # noqa: F401  (registers rules)
     import repro.analysis.lifecycle  # noqa: F401  (registers rules)
 
 

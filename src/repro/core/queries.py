@@ -51,7 +51,9 @@ class SMCCResult:
     Attributes
     ----------
     vertices:
-        The vertex set of the component, in discovery order.
+        The vertex set of the component, in discovery order.  Answers
+        read off MST* are tuple slices of its leaf order, so a result
+        shared through the serving cache cannot be changed in place.
     connectivity:
         The edge connectivity of the component (= sc of the query for
         plain SMCC queries).
@@ -60,7 +62,7 @@ class SMCCResult:
         profiling was active (``None`` otherwise).
     """
 
-    vertices: List[int]
+    vertices: Sequence[int]
     connectivity: int
     query_stats: Optional[QueryStats] = field(default=None, repr=False, compare=False)
 
@@ -108,7 +110,7 @@ class SMCCInterval:
         return self.start <= self._star.leaf_position[vertex] < self.end
 
     @property
-    def vertices(self) -> List[int]:
+    def vertices(self) -> Sequence[int]:
         return self._star.leaf_order[self.start:self.end]
 
 

@@ -13,7 +13,7 @@ O(|q| + log |V|) per climb step instead — see
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.index.mst import MSTIndex
 from repro.index.mst_star import MSTStar
@@ -24,7 +24,7 @@ def smcc_l_opt(
     q: Sequence[int],
     size_bound: int,
     mst_star: Optional[MSTStar] = None,
-) -> Tuple[List[int], int]:
+) -> Tuple[Sequence[int], int]:
     """Compute the SMCC_L of ``q``: ``(vertices, connectivity)``.
 
     With an ``mst_star`` the answer comes from the climb over gap runs

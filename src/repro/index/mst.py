@@ -82,7 +82,6 @@ class MSTIndex:
         self._component: Optional[List[int]] = None
         self._roots: List[int] = []
         # Epoch-based visited marks for O(|T_q|) queries without clearing.
-        # frozen-exempt: epoch scratch of the MST-walk queries
         self._visit_epoch: List[int] = [0] * num_vertices
         self._epoch = 0
         #: bumped by every tree mutation; a snapshot publisher reuses the

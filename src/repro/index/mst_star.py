@@ -150,32 +150,36 @@ def _int_view(arr: np.ndarray) -> memoryview:
     return memoryview(np.ascontiguousarray(arr)).toreadonly()
 
 
-class MSTStar:  # deep-frozen
+class MSTStar:
     """The MST* read structure: a leaf order and its gap row.
 
     Construction eagerly derives every table from the gap row — the
     range-minimum sparse table, the run table and the Cartesian jump
-    table — so instances are deeply immutable from the moment they
-    exist.  Every sc family (scalar, pairwise, batched, singleton),
-    ``smcc``, ``smcc_l``, ``components_at`` and ``max_connectivity`` is
-    answered from these tables alone.
+    table — and publishes them read-only: the leaf order is a tuple,
+    every array has ``writeable=False`` and the climb's rows are
+    read-only memoryviews.  Instances are therefore immutable from the
+    moment they exist, so any number of threads (and cached answers
+    that slice the leaf order) may share one.  Every sc family
+    (scalar, pairwise, batched, singleton), ``smcc``, ``smcc_l``,
+    ``components_at`` and ``max_connectivity`` is answered from these
+    tables alone.
     """
 
-    def __init__(
-        self,
-        leaf_order: List[int],  # escape: owned
-        gap: np.ndarray,  # escape: owned
-    ) -> None:
+    def __init__(self, leaf_order: Sequence[int], gap: np.ndarray) -> None:
         rmq = sparse_min_table(np.asarray(gap, dtype=np.int64))
         runs = run_table(rmq)
         # One int64 buffer, not a list of int objects: a cached answer's
         # touch set pins its generation's leaf_position, and carried
         # entries keep old generations' alive, so the process's peak
         # memory grew with the publishes served while it was a list.
-        position = np.empty(len(leaf_order), dtype=np.int64)
-        position[leaf_order] = np.arange(len(leaf_order), dtype=np.int64)
+        order = tuple(leaf_order)
+        position = np.empty(len(order), dtype=np.int64)
+        position[np.asarray(order, dtype=np.int64)] = np.arange(
+            len(order), dtype=np.int64
+        )
+        position.setflags(write=False)
         self._install(
-            leaf_order,
+            order,
             _int_view(position),
             rmq,
             runs,
@@ -185,11 +189,11 @@ class MSTStar:  # deep-frozen
     @classmethod
     def over_arrays(
         cls,
-        leaf_order: np.ndarray,  # escape: owned
-        leaf_position: np.ndarray,  # escape: owned
-        rmq: np.ndarray,  # escape: owned
-        runs: np.ndarray,  # escape: owned
-        jump: np.ndarray,  # escape: owned
+        leaf_order: np.ndarray,
+        leaf_position: np.ndarray,
+        rmq: np.ndarray,
+        runs: np.ndarray,
+        jump: np.ndarray,
     ) -> "MSTStar":
         """An MST* over already-built int64 buffers (no rebuild).
 
@@ -201,12 +205,16 @@ class MSTStar:  # deep-frozen
 
     def _install(
         self,
-        leaf_order: Sequence[int],  # escape: owned
-        leaf_position: Sequence[int],  # escape: owned
-        rmq: np.ndarray,  # escape: owned
-        runs: np.ndarray,  # escape: owned
-        jump: np.ndarray,  # escape: owned
+        leaf_order: Sequence[int],
+        leaf_position: Sequence[int],
+        rmq: np.ndarray,
+        runs: np.ndarray,
+        jump: np.ndarray,
     ) -> None:
+        # Read-only before any view is taken, so the gap row, run
+        # bounds and jump rows viewed below are read-only too.
+        for table in (rmq, runs, jump):
+            table.setflags(write=False)
         #: number of leaves == |V| of the base graph
         self.num_leaves = len(leaf_position)
         #: leaves (graph vertices) in MST* order — k-eccs are slices
@@ -226,7 +234,7 @@ class MSTStar:  # deep-frozen
         self._levels = _int_view(self.gap)
         self._run_start = _int_view(runs[0])
         self._run_end = _int_view(runs[1])
-        self._jump = [_int_view(row) for row in jump[::-1]]
+        self._jump = tuple(_int_view(row) for row in jump[::-1])
         #: int64 gather buffer of leaf_position for the batched kernels
         #: (the buffer itself when leaf_position already is an ndarray)
         self._position_arr = np.asarray(leaf_position, dtype=np.int64)
@@ -236,6 +244,7 @@ class MSTStar:  # deep-frozen
         np.cumsum(self.gap == 0, out=at_position[1:])
         #: per-vertex component id, for routing and error messages
         self.vertex_component = at_position[self._position_arr]
+        self.vertex_component.setflags(write=False)
 
     # ------------------------------------------------------------------
     # k-eccs: maximal runs of gaps >= k, found by a climb
@@ -281,7 +290,7 @@ class MSTStar:  # deep-frozen
             return position, position + 1
         return self._run_start[node], self._run_end[node]
 
-    def component_slice(self, vertex: int, k: int) -> List[int]:
+    def component_slice(self, vertex: int, k: int) -> Sequence[int]:
         """The k-ecc of ``vertex``, materialized from its interval."""
         start, end = self.component_interval(vertex, k)
         return self.leaf_order[start:end]
@@ -505,8 +514,7 @@ class MSTStar:  # deep-frozen
         cuts = np.flatnonzero(self.gap < max(k, 1)) + 1
         bounds = [0, *cuts.tolist(), self.num_leaves]
         order = self.leaf_order
-        if isinstance(order, np.ndarray):
-            order = order.tolist()
+        order = order.tolist() if isinstance(order, np.ndarray) else list(order)
         return [order[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def max_connectivity(self) -> int:
@@ -563,7 +571,7 @@ class MSTStar:  # deep-frozen
         return sc
 
     # ------------------------------------------------------------------
-    def validate(self, mst: Optional[MSTIndex] = None) -> None:  # escape: borrowed
+    def validate(self, mst: Optional[MSTIndex] = None) -> None:
         """Raise AssertionError unless the tables are consistent.
 
         Runs :func:`~repro.analysis.lemmas.gap_table_violation`: the
@@ -578,7 +586,7 @@ class MSTStar:  # deep-frozen
             raise AssertionError(problem)
 
 
-def leaf_order_and_gaps(mst: MSTIndex) -> Tuple[List[int], np.ndarray]:  # escape: borrowed
+def leaf_order_and_gaps(mst: MSTIndex) -> Tuple[List[int], np.ndarray]:
     """Algorithm 12 with linked leaf lists: ``(leaf_order, gap)``.
 
     Kruskal over the tree edges in non-increasing weight order.  Each
@@ -625,7 +633,7 @@ def leaf_order_and_gaps(mst: MSTIndex) -> Tuple[List[int], np.ndarray]:  # escap
     return order, gap
 
 
-def build_mst_star(mst: MSTIndex) -> MSTStar:  # escape: borrowed
+def build_mst_star(mst: MSTIndex) -> MSTStar:
     """Algorithm 12: the MST* gap row and its tables from the MST.
 
     Handles spanning forests: components are consecutive runs of the

@@ -66,7 +66,6 @@ from bisect import bisect_left
 from collections import OrderedDict
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.freeze import maybe_deep_freeze
 from repro.analysis.tsan import monitored, new_lock
 
 __all__ = ["CacheEntry", "QueryCache", "Touch", "canonical_query"]
@@ -96,13 +95,13 @@ class CacheEntry:
 
     def __init__(
         self,
-        value: object,  # escape: owned
+        value: object,
         generation: int,
-        # Shares a published snapshot's leaf_position array, which
-        # nothing writes after capture.
-        touch: Touch,  # escape: owned
+        touch: Touch,
     ) -> None:
-        # deep-frozen
+        #: the answer: an int or an SMCCResult over a tuple slice of
+        #: the answering star's leaf order, so readers sharing a hit
+        #: cannot change it in place
         self.value = value  # guarded-by: immutable-after-publish
         #: re-stamped by :meth:`QueryCache.advance` under the owning
         #: cache's lock when the entry provably carries over a publish
@@ -112,8 +111,8 @@ class CacheEntry:
         #: ``(leaf_position, start, end)`` of the answering generation,
         #: or a frozenset of the query where there is no component
         #: (connectivity <= 0); an empty frozenset =
-        #: always dropped on publish rather than carried over
-        # deep-frozen
+        #: always dropped on publish rather than carried over.  The
+        #: interval shares the star's read-only leaf_position memoryview.
         self.touch = touch  # guarded-by: immutable-after-publish
 
 
@@ -167,7 +166,7 @@ class QueryCache:
     def put(
         self,
         key: CacheKey,
-        value: object,  # escape: owned
+        value: object,
         generation: int,
         touch: Touch = frozenset(),
     ) -> None:
@@ -185,12 +184,7 @@ class QueryCache:
             if generation != self._generation:
                 self.stale_puts += 1
                 return
-            # Under REPRO_FREEZE the resident value is deep-frozen: cached
-            # answers are shared across reader threads, so a reader
-            # mutating one would corrupt every later hit.
-            self._entries[key] = CacheEntry(
-                maybe_deep_freeze(value), generation, touch
-            )
+            self._entries[key] = CacheEntry(value, generation, touch)
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)

@@ -39,7 +39,6 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import Callable, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.freeze import maybe_deep_freeze
 from repro.analysis.tsan import AnyRLock, monitored, new_rlock
 from repro.core.queries import SMCCIndex
 from repro.graph.graph import edge_key
@@ -251,13 +250,11 @@ class SnapshotPublisher:
                         # the previous star's; the edge log is new.
                         mode = "delta"
                         region_size = 0
-                        snapshot = maybe_deep_freeze(
-                            IndexSnapshot(
-                                generation=new_generation,
-                                num_vertices=self._index.graph.num_vertices,
-                                edges=edges,
-                                star=self._snapshot.star,
-                            )
+                        snapshot = IndexSnapshot(
+                            generation=new_generation,
+                            num_vertices=self._index.graph.num_vertices,
+                            edges=edges,
+                            star=self._snapshot.star,
                         )
                     else:
                         mode = "full"

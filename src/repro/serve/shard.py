@@ -683,8 +683,8 @@ class SharedSnapshotView:
     def __init__(
         self,
         doc: Dict[str, Any],
-        segments: Dict[str, Any],  # escape: owned
-        arrays: Dict[str, np.ndarray],  # escape: owned
+        segments: Dict[str, Any],
+        arrays: Dict[str, np.ndarray],
     ) -> None:
         self.generation = int(doc["generation"])
         self.num_vertices = int(doc["num_vertices"])
@@ -1115,7 +1115,7 @@ class ShardGateway:
 
     def __init__(
         self,
-        serving: ServingIndex,  # escape: borrowed
+        serving: ServingIndex,
         workers: int,
         *,
         prefix: Optional[str] = None,
@@ -1447,10 +1447,10 @@ class ShardWorkloadSpec:
 
 
 def run_shard_workload(
-    serving: ServingIndex,  # escape: borrowed
+    serving: ServingIndex,
     spec: Optional[ShardWorkloadSpec] = None,
     *,
-    gateway: Optional[ShardGateway] = None,  # escape: borrowed
+    gateway: Optional[ShardGateway] = None,
 ) -> Dict[str, Any]:
     """Drive a sharded gateway with N async clients + 1 writer.
 

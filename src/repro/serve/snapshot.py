@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.freeze import maybe_deep_freeze
 from repro.analysis.tsan import monitored
 from repro.core.queries import SMCCResult
 from repro.index.connectivity_graph import ConnectivityGraph
@@ -46,7 +45,7 @@ __all__ = [
 
 
 @monitored
-class IndexSnapshot:  # deep-frozen
+class IndexSnapshot:
     """A frozen, consistent view of the SMCC index at one generation.
 
     Instances are created by :func:`capture_snapshot` (always under the
@@ -67,8 +66,8 @@ class IndexSnapshot:  # deep-frozen
         self,
         generation: int,
         num_vertices: int,
-        edges: Tuple[Edge, ...],  # escape: owned
-        star: MSTStar,  # escape: owned
+        edges: Tuple[Edge, ...],
+        star: MSTStar,
     ) -> None:
         self.generation = generation  # guarded-by: immutable-after-publish
         self.num_vertices = num_vertices  # guarded-by: immutable-after-publish
@@ -141,10 +140,10 @@ class IndexSnapshot:  # deep-frozen
 
 
 def capture_snapshot(
-    conn_graph: ConnectivityGraph,  # escape: borrowed
-    mst: MSTIndex,  # escape: borrowed
+    conn_graph: ConnectivityGraph,
+    mst: MSTIndex,
     generation: int,
-    edges: Optional[Tuple[Edge, ...]] = None,  # escape: owned
+    edges: Optional[Tuple[Edge, ...]] = None,
 ) -> IndexSnapshot:
     """Capture the current index state as an :class:`IndexSnapshot`.
 
@@ -157,23 +156,22 @@ def capture_snapshot(
     caller already maintains one; otherwise it is sorted here, in
     O(|E| log |E|).
 
-    Under ``REPRO_FREEZE=1`` (:mod:`repro.analysis.freeze`) the captured
-    object graph is additionally deep-frozen at publish time: ndarrays
-    become read-only and containers become raising proxies, so any
-    later in-place write fails at its exact call site.
+    The result is read-only by construction: its fields are ints, the
+    edge tuple and an :class:`~repro.index.mst_star.MSTStar`, whose leaf
+    order is a tuple and whose tables are read-only arrays and
+    memoryviews, so nothing a reader can reach is writeable.
     """
     if edges is None:
         edges = tuple(sorted(conn_graph.graph.edges()))
-    snapshot = IndexSnapshot(
+    return IndexSnapshot(
         generation=generation,
         num_vertices=conn_graph.num_vertices,
         edges=edges,
         star=build_mst_star(mst),
     )
-    return maybe_deep_freeze(snapshot)
 
 
-def star_buffers(star: MSTStar) -> Dict[str, object]:  # escape: borrowed
+def star_buffers(star: MSTStar) -> Dict[str, object]:
     """The named arrays of one MST*, in ``MSTStar.over_arrays`` order.
 
     The leaf order and positions, the gap table (row 0 is the gap row),
@@ -189,7 +187,7 @@ def star_buffers(star: MSTStar) -> Dict[str, object]:  # escape: borrowed
     }
 
 
-def named_buffers(snapshot: IndexSnapshot) -> Dict[str, object]:  # escape: borrowed
+def named_buffers(snapshot: IndexSnapshot) -> Dict[str, object]:
     """The named array inventory of a snapshot, for sharing accounting.
 
     The star's buffers (:func:`star_buffers`) plus the edge log — the
@@ -199,10 +197,7 @@ def named_buffers(snapshot: IndexSnapshot) -> Dict[str, object]:  # escape: borr
     return {**star_buffers(snapshot.star), "edges": snapshot.edges}
 
 
-def shared_fraction(
-    previous: IndexSnapshot,  # escape: borrowed
-    current: IndexSnapshot,  # escape: borrowed
-) -> float:
+def shared_fraction(previous: IndexSnapshot, current: IndexSnapshot) -> float:
     """Fraction of ``current``'s named buffers shared with ``previous``."""
     prev = named_buffers(previous)
     cur = named_buffers(current)

@@ -25,7 +25,7 @@ from repro.flow.dinic import Dinic
 from repro.graph.generators import paper_example_graph
 from repro.index.connectivity_graph import build_connectivity_graph
 from repro.index.mst import build_mst
-from repro.index.mst_star import build_mst_star
+from repro.index.mst_star import MSTStar, build_mst_star
 from repro.kecc.exact import keccs_exact
 
 
@@ -210,14 +210,26 @@ class TestLemmaCheckers:
         _, mst = _paper_mst()
         star = build_mst_star(mst)
         assert mst_star_consistent(star, mst)
-        star._rmq[0, 0] += 1  # corrupt one gap
-        assert not mst_star_consistent(star, mst)
-        star = build_mst_star(mst)
-        star._rmq[1, 0] += 1  # corrupt one sparse-table entry
-        assert not mst_star_consistent(star, mst)
-        star = build_mst_star(mst)
-        star._runs[1, 0] += 1  # corrupt one run-table entry
-        assert not mst_star_consistent(star, mst)
+
+        def corrupted(table, index):
+            # A star is read-only, so corrupt a copy of one table and
+            # map a star over the copies.
+            tables = {
+                "rmq": star._rmq.copy(),
+                "runs": star._runs.copy(),
+                "jump": star._jump_table.copy(),
+            }
+            tables[table][index] += 1
+            return MSTStar.over_arrays(
+                star.leaf_order, star.leaf_position, **tables
+            )
+
+        for table, index in (
+            ("rmq", (0, 0)),  # one gap
+            ("rmq", (1, 0)),  # one sparse-table entry
+            ("runs", (1, 0)),  # one run-table entry
+        ):
+            assert not mst_star_consistent(corrupted(table, index), mst)
 
     def test_dinic_conservation_positive(self, enabled):
         d = Dinic(4)

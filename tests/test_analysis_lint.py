@@ -473,19 +473,31 @@ class TestCLI:
         for rule_id in all_rule_ids():
             assert rule_id in out
 
-    def test_module_invocation(self):
+    @staticmethod
+    def _run_module(*args):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [os.path.join(os.path.dirname(__file__), "..", "src")]
             + env.get("PYTHONPATH", "").split(os.pathsep)
         )
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.analysis.lint", SRC_ROOT],
+        return subprocess.run(
+            [sys.executable, "-m", "repro.analysis.lint", *args],
             capture_output=True,
             text=True,
             env=env,
         )
+
+    def test_module_invocation(self):
+        proc = self._run_module(SRC_ROOT)
         assert proc.returncode == EXIT_CLEAN, proc.stdout + proc.stderr
+
+    def test_immutability_flag_removed(self):
+        # Published serving state is read-only by construction
+        # (tests/test_read_only_state.py), so the frozen-* rule set and
+        # its flag are gone: argparse rejects it as a usage error.
+        proc = self._run_module("--immutability", SRC_ROOT)
+        assert proc.returncode == EXIT_ERROR
+        assert "--immutability" in proc.stderr
 
 
 class TestStaleSuppressionAudit:
@@ -583,42 +595,4 @@ class TestStaleSuppressionAudit:
         (target / "mod.py").write_text(self.STALE_NAMED)
         assert main(["--fail-on", "error", str(tmp_path)]) == EXIT_CLEAN
         assert main([str(tmp_path)]) == EXIT_FINDINGS
-        capsys.readouterr()
-
-
-class TestImmutabilityCLI:
-    FIXTURE = FUTURE + textwrap.dedent(
-        """
-        class Snap:  # deep-frozen
-            def __init__(
-                self,
-                table,  # escape: owned
-            ) -> None:
-                self.table = table
-
-
-        def capture(
-            live,  # escape: borrowed
-        ):
-            return Snap(table=live)
-        """
-    )
-
-    def test_immutability_flag_selects_frozen_rules(self, tmp_path, capsys):
-        target = tmp_path / "serve"
-        target.mkdir()
-        (target / "mod.py").write_text(self.FIXTURE)
-        assert main(["--immutability", str(tmp_path)]) == EXIT_FINDINGS
-        out = capsys.readouterr().out
-        assert "[frozen-escape]" in out
-
-    def test_immutability_flag_excludes_other_rules(self, tmp_path, capsys):
-        target = tmp_path / "core"
-        target.mkdir()
-        (target / "mod.py").write_text(FUTURE + "def f(x):\n    assert x\n")
-        assert main(["--immutability", str(tmp_path)]) == EXIT_CLEAN
-        capsys.readouterr()
-
-    def test_src_repro_clean_under_immutability_cli(self, capsys):
-        assert main(["--immutability", SRC_ROOT]) == EXIT_CLEAN
         capsys.readouterr()

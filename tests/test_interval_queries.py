@@ -56,7 +56,7 @@ class TestLeafOrder:
         _, star = stack
         start, end = star.component_interval(0, 5)
         assert end - start == 1
-        assert star.component_slice(0, 5) == [0]
+        assert star.component_slice(0, 5) == (0,)
 
     def test_validation(self, stack):
         _, star = stack
@@ -96,4 +96,4 @@ class TestSMCCInterval:
         star = build_mst_star(mst)
         assert sorted(star.component_slice(0, 2)) == [0, 1, 2]
         assert sorted(star.component_slice(3, 1)) == [3, 4]
-        assert star.component_slice(3, 2) == [3]
+        assert star.component_slice(3, 2) == (3,)

@@ -4,9 +4,8 @@ Every batched kernel must reproduce its scalar counterpart exactly —
 on every index engine, on singleton and duplicate-vertex queries, on
 cross-component pairs (where the batch convention answers 0 instead of
 raising), and on shared-memory views of full and star-reuse
-generations.  The same
-corpus runs under ``REPRO_FREEZE=1`` in CI, so the kernels must also
-work against deep-frozen (read-only) buffers.
+generations.  Published buffers are read-only, so the kernels must
+never write into what they read.
 """
 
 import random
@@ -266,9 +265,8 @@ class TestSharedMemoryViewDifferential:
     Same corpus discipline as the batch kernels: every engine, full and
     star-reuse generations, all four served families, cross-component
     queries, and exception parity (the view must raise the same typed
-    error the in-process snapshot raises).  Runs under ``REPRO_FREEZE=1``
-    in the CI shard job, so the export path must also read deep-frozen
-    writer-side buffers.
+    error the in-process snapshot raises).  The export path reads the
+    snapshot's read-only buffers.
     """
 
     @staticmethod
@@ -372,28 +370,23 @@ class TestSharedMemoryViewDifferential:
                 if chord is not None:
                     serving.apply_updates(deletes=[chord])
 
-    def test_view_matches_under_freezer(self, engine_index):
-        from repro.analysis import freeze
+    def test_view_matches_read_only_star(self, engine_index):
+        # The export reads the published star as it is: a tuple leaf
+        # order and read-only tables, never a writeable copy.
         from repro.serve import SharedSnapshotStore, SharedSnapshotView
 
         graph, index = engine_index
-        was_enabled = freeze.enabled()
-        if not was_enabled:
-            freeze.enable()
-        try:
-            serving = ServingIndex(
-                index, config=ServeConfig(region_fraction_limit=1.0)
-            )
-            snap = serving.snapshot()
-            with SharedSnapshotStore() as store:
-                store.publish_snapshot(snap)
-                view = SharedSnapshotView.attach(store.prefix, 0)
-                try:
-                    self._assert_view_matches(
-                        view, snap, graph.num_vertices, 31
-                    )
-                finally:
-                    view.close()
-        finally:
-            if not was_enabled:
-                freeze.disable()
+        serving = ServingIndex(
+            index, config=ServeConfig(region_fraction_limit=1.0)
+        )
+        snap = serving.snapshot()
+        assert isinstance(snap.star.leaf_order, tuple)
+        for table in (snap.star._rmq, snap.star._runs, snap.star._jump_table):
+            assert not table.flags.writeable
+        with SharedSnapshotStore() as store:
+            store.publish_snapshot(snap)
+            view = SharedSnapshotView.attach(store.prefix, 0)
+            try:
+                self._assert_view_matches(view, snap, graph.num_vertices, 31)
+            finally:
+                view.close()

@@ -454,46 +454,40 @@ def test_delta_publish_shares_untouched_buffers():
     assert report.shared_fraction == 5 / 6
 
 
-def test_delta_publish_under_freezer_stays_read_only():
-    """REPRO_FREEZE: shared buffers survive re-freezing and stay frozen.
+def test_delta_publish_stays_read_only():
+    """A star-reuse publish shares read-only buffers, with no switch set.
 
-    Arms the freezer programmatically (as the CI serve job does via the
-    environment), publishes a star reuse, and checks that (a) sharing
-    by object identity survived the re-freeze — the freezer returns
-    already-frozen containers unchanged instead of re-wrapping them —
-    and (b) writes into shared buffers still raise at the call site.
+    The reused MST* is shared by object identity, and every buffer of
+    it rejects writes at the call site: the leaf order is a tuple, the
+    tables are read-only arrays and the climb's rows read-only
+    memoryviews, so no generation can corrupt another through them.
     """
-    from repro.analysis import freeze
     from repro.serve import named_buffers
 
-    was_enabled = freeze.enabled()
-    if not was_enabled:
-        freeze.enable()
-    try:
-        serving = ServingIndex.build(chain_with_cycle_graph())
-        prev = serving.snapshot()
-        serving.apply_updates(inserts=[CYCLE_CHORD])
-        report = serving.publish()
-        assert report.mode == "delta"
-        assert report.shared_fraction >= 0.5
-        before = named_buffers(prev)
-        after = named_buffers(report.snapshot)
-        assert after["star.jump"] is before["star.jump"]
-        assert after["star.leaf_order"] is before["star.leaf_order"]
-        with pytest.raises(freeze.FrozenWriteError):
-            after["star.leaf_order"][0] = -1
-        with pytest.raises(TypeError):
-            report.snapshot.star._jump[0][0] = 99
-        for name in ("star.rmq", "star.runs", "star.jump"):
-            with pytest.raises(ValueError, match="read-only"):
-                after[name][0, 0] = 99
-        _check_snapshot_against_rebuild(
-            report.snapshot,
-            ([0, 1], [1, 6], [9, 10, 11], [2, 13], [15, 18], [16, 19]),
-        )
-    finally:
-        if not was_enabled:
-            freeze.disable()
+    serving = ServingIndex.build(chain_with_cycle_graph())
+    prev = serving.snapshot()
+    serving.apply_updates(inserts=[CYCLE_CHORD])
+    report = serving.publish()
+    assert report.mode == "delta"
+    assert report.shared_fraction >= 0.5
+    before = named_buffers(prev)
+    after = named_buffers(report.snapshot)
+    for name in before:
+        if name.startswith("star."):
+            assert after[name] is before[name], name
+    with pytest.raises(TypeError):
+        after["star.leaf_order"][0] = -1
+    with pytest.raises(TypeError):
+        report.snapshot.star._jump[0][0] = 99
+    with pytest.raises(TypeError):
+        report.snapshot.star._jump[0] = None
+    for name in ("star.rmq", "star.runs", "star.jump"):
+        with pytest.raises(ValueError, match="read-only"):
+            after[name][0, 0] = 99
+    _check_snapshot_against_rebuild(
+        report.snapshot,
+        ([0, 1], [1, 6], [9, 10, 11], [2, 13], [15, 18], [16, 19]),
+    )
 
 
 class _TwinCache:
